@@ -3,9 +3,10 @@
 This module re-derives every claim in a certificate from scratch: plain
 per-coordinate running sums over the recorded injections, term-by-term
 scans of the unused indices, and exact rational comparisons against the
-recorded tolerances.  It shares only the input parsers and the term
-evaluator with the rest of the package, so a bookkeeping bug in the
-chain builder cannot silently vouch for itself.
+recorded tolerances.  It shares only the input parsers, the scalar term
+evaluator ``term`` and the tail envelope ``tail_sup_bound`` with the
+engine, which sums through the vectorized ``term_array`` instead, so a
+bookkeeping bug in the chain builder cannot silently vouch for itself.
 
 Recorded norms must agree with the recomputed ones to within 1e-9, and
 every inequality is re-certified with the same slack margin the builder

@@ -46,8 +46,6 @@ from .series import FamilyVector, partial_sum_vector, tail_sup_bound, vector_ter
 
 #: Margin subtracted from every strict certified comparison, absorbing
 #: float rounding in the measured quantity.
-SLACK = 1e-9
-
 _SLACK_FRACTION = Fraction(1, 10 ** 9)
 
 #: Unused indices below ``len(injection) + TAIL_CUTOFF_SPAN`` are checked
@@ -122,9 +120,6 @@ class ConditionReport:
         return None
 
 
-LinkReport = ConditionReport
-
-
 def _targets_tuple(targets) -> tuple[float, ...]:
     out = tuple(float(x) for x in targets)
     if not out:
@@ -180,14 +175,13 @@ def is_condition(cond: Condition, fam: FamilyVector, targets,
     return ConditionReport(all(b.ok for b in bullets), tuple(bullets))
 
 
-def leq(lower: Condition, upper: Condition, fam: FamilyVector,
-        schedule: ConstantSchedule | None = None) -> LinkReport:
+def leq(lower: Condition, upper: Condition,
+        fam: FamilyVector) -> ConditionReport:
     """Check the four refinement requirements of ``lower <= upper``.
 
     Both arguments are assumed to be valid conditions; validity itself is
     is_condition's job.
     """
-    del schedule  # the refinement bullets do not involve the constants
     bullets: list[BulletCheck] = []
     k = len(upper.injection)
     extends = lower.injection[:k] == upper.injection
@@ -198,14 +192,11 @@ def leq(lower: Condition, upper: Condition, fam: FamilyVector,
     d = upper.dim
     two_eps = 2 * upper.eps
     block = lower.injection[k:] if extends else ()
-    if block:
-        running = np.cumsum(vector_terms(fam, block, d), axis=0)
-        prefix_max = float(np.linalg.norm(running, axis=1).max())
-        block_norm = float(np.linalg.norm(
-            partial_sum_vector(fam, block, d)))
-    else:
-        prefix_max = 0.0
-        block_norm = 0.0
+    # Against a zero target, deviation is the block sum's norm and
+    # max_excursion its largest prefix norm.  The target spans the whole
+    # family so that it is cut to the same length as the sums.
+    stats = plan_from_injection(fam, block, (0.0,) * len(fam), d)
+    prefix_max, block_norm = stats.max_excursion, stats.deviation
     bullets.append(BulletCheck(
         "block-prefixes",
         certified_lt(prefix_max, two_eps) if prefix_max > 0.0 else 0 < two_eps,
@@ -226,7 +217,7 @@ class ExtendDetail:
     """An accepted extension plus the evidence that justified it."""
 
     condition: Condition
-    link: LinkReport
+    link: ConditionReport
     check: ConditionReport
     appended: int
 
@@ -436,7 +427,7 @@ class CertificateChain:
     """A descending sequence of conditions with per-step evidence."""
 
     conditions: tuple[Condition, ...]
-    checks: tuple[LinkReport, ...]
+    checks: tuple[ConditionReport, ...]
     condition_reports: tuple[ConditionReport, ...]
 
     def final(self) -> Condition:
@@ -479,7 +470,7 @@ def run(fam: FamilyVector, targets, rounds: int, seed: int = 0,
         raise SearchError(
             f"initial condition fails its {report.first_failure()} check")
     conditions = [cond]
-    links: list[LinkReport] = []
+    links: list[ConditionReport] = []
     reports = [report]
     rng = random.Random(seed)
     budget_left = budget

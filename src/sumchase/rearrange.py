@@ -584,15 +584,7 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
             injection.extend(order_block(fam, picks, dim, schedule))
         stalled = not picks or dev > prev_dev * 0.9
         if stalled and lanes_ok:
-            struct = _lane_structure(fam, dim)
-            scale = max(dev, eps) * 0.5
-            boosts = {}
-            for sig in struct.sign_vectors:
-                neg = tuple(-s for s in sig)
-                if sig < neg:
-                    bump = rng.uniform(0.0, scale)
-                    boosts[sig] = bump
-                    boosts[neg] = bump
+            boosts = complementary_boosts(fam, dim, max(dev, eps) * 0.5, rng)
         prev_dev = dev
     raise BudgetExhaustedError(
         f"no plan within eps={eps!r} after {max_rounds} rounds "
@@ -618,9 +610,7 @@ def cover_indices(fam: FamilyVector, plan: PrefixPlan, n: int, target,
         return plan
     vectors = vector_terms(fam, missing, dim)
     offset = partial_sum_vector(fam, plan.injection, dim)
-    slack_bound = (float(np.linalg.norm(offset))
-                   + float(np.linalg.norm(vectors, axis=1).sum()) + 1.0)
-    order = order_with_threshold(vectors, slack_bound, fix_first=False,
+    order = order_with_threshold(vectors, math.inf, fix_first=False,
                                  offset=offset)
     injection = list(plan.injection) + [missing[i] for i in order]
     return plan_from_injection(fam, injection, tv, dim)
@@ -651,23 +641,17 @@ def verify_prefix(fam: FamilyVector, plan: PrefixPlan, target,
         flags.append("negative-index")
     if len(set(inj)) != len(inj):
         flags.append("duplicate-index")
+    indices_ok = not flags
     if plan.used_set != frozenset(inj):
         flags.append("used-set-mismatch")
     deviation = plan.deviation
     max_excursion = plan.max_excursion
-    if "negative-index" not in flags:
-        distinct = list(dict.fromkeys(inj))
-        sums = partial_sum_vector(fam, distinct, dim)
-        if "duplicate-index" not in flags:
-            deviation = float(np.linalg.norm(sums - tv.as_array()[:dim]))
-            if abs(deviation - plan.deviation) > 1e-12:
-                flags.append("deviation-mismatch")
-            if inj:
-                running = np.cumsum(vector_terms(fam, inj, dim), axis=0)
-                max_excursion = float(np.linalg.norm(running, axis=1).max())
-            else:
-                max_excursion = 0.0
-            if abs(max_excursion - plan.max_excursion) > 1e-9:
-                flags.append("excursion-mismatch")
+    if indices_ok:
+        fresh = plan_from_injection(fam, inj, tv, dim)
+        deviation, max_excursion = fresh.deviation, fresh.max_excursion
+        if abs(deviation - plan.deviation) > 1e-12:
+            flags.append("deviation-mismatch")
+        if abs(max_excursion - plan.max_excursion) > 1e-9:
+            flags.append("excursion-mismatch")
     return PrefixReport(not flags, tuple(flags), deviation, max_excursion,
                         len(inj))

@@ -183,11 +183,12 @@ def term(spec: SeriesSpec, m: int) -> float:
 
 
 def term_array(spec: SeriesSpec, ms: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`term`.
+    """Vectorized :func:`term`; partial sums and term rows come from here.
 
-    Matches the scalar path bit for bit when the exponent is an integer;
-    fractional exponents may differ by one rounding step because numpy
-    and libm round ``pow`` differently.
+    May differ from the scalar path by one rounding step, integer
+    exponents included: numpy computes ``x ** -1.0`` as a correctly
+    rounded reciprocal, while libm ``pow`` misses at some indices
+    (``m = 1922`` for the alternating harmonic series, for one).
     """
     ms = np.asarray(ms, dtype=np.int64)
     if ms.size and int(ms.min()) < 0:
@@ -233,11 +234,6 @@ class FamilyVector:
     def __getitem__(self, i: int) -> SeriesSpec:
         return self.specs[i]
 
-    def prefix(self, d: int) -> "FamilyVector":
-        if not 1 <= d <= len(self.specs):
-            raise InputError(f"cannot take the first {d} of {len(self.specs)} series")
-        return FamilyVector(self.specs[:d])
-
 
 def family(*specs: SeriesSpec) -> FamilyVector:
     return FamilyVector(tuple(specs))
@@ -263,13 +259,14 @@ def vector_terms(fam: FamilyVector, ms: Sequence[int],
 # Partial sums
 # ---------------------------------------------------------------------------
 
-def _check_indices(indices: Sequence[int]) -> list[int]:
-    idx = [int(i) for i in indices]
-    if any(i < 0 for i in idx):
+def _check_indices(indices: Sequence[int]) -> np.ndarray:
+    ms = np.asarray(indices, dtype=np.int64)
+    if ms.size and int(ms.min()) < 0:
         raise InputError("indices must be nonnegative")
-    if len(set(idx)) != len(idx):
+    ordered = np.sort(ms, axis=None)
+    if (ordered[1:] == ordered[:-1]).any():
         raise InputError("duplicate index in partial sum")
-    return idx
+    return ms
 
 
 def partial_sum(spec: SeriesSpec, indices: Sequence[int]) -> float:
@@ -278,16 +275,16 @@ def partial_sum(spec: SeriesSpec, indices: Sequence[int]) -> float:
     Uses compensated summation, so the value does not depend on the order
     in which indices are listed.
     """
-    idx = _check_indices(indices)
-    return math.fsum(term(spec, m) for m in idx)
+    return math.fsum(term_array(spec, _check_indices(indices)))
 
 
 def partial_sum_vector(fam: FamilyVector, indices: Sequence[int],
                        d: int | None = None) -> np.ndarray:
     """Coordinatewise :func:`partial_sum` over the first ``d`` series."""
     d = len(fam) if d is None else d
-    idx = _check_indices(indices)
-    return np.array([partial_sum(spec, idx) for spec in fam.specs[:d]])
+    ms = _check_indices(indices)
+    return np.array([math.fsum(term_array(spec, ms))
+                     for spec in fam.specs[:d]])
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +320,6 @@ def tail_sup_bound(obj: SeriesSpec | FamilyVector, m: int,
                                for spec in obj.specs[:d]))
 
 
-@dataclass(frozen=True)
-class TailBound:
-    """Reusable tail-bound callable for one spec or family slice."""
-
-    source: SeriesSpec | FamilyVector
-    dim: int | None = None
-
-    def bound_at(self, m: int) -> float:
-        return tail_sup_bound(self.source, m, self.dim)
-
-
 # ---------------------------------------------------------------------------
 # Canonical reduction to sign-pattern components
 # ---------------------------------------------------------------------------
@@ -349,12 +335,6 @@ class PatternReduction:
 
     patterns: tuple[tuple[int, float, float], ...]
     absolute: tuple[tuple[float, SeriesSpec], ...]
-
-    def pattern_coefficient(self, level: int, exponent: float) -> float:
-        for lv, p, c in self.patterns:
-            if lv == level and p == exponent:
-                return c
-        return 0.0
 
 
 def _reduce(spec: SeriesSpec, scale: float,

@@ -224,10 +224,10 @@ def k_space_basis(fam: FamilyVector, dim: int | None = None,
             raise DisagreementError(
                 f"declared kernel vector {cv.values} tests divergent "
                 f"(abs sum {stats.abs_sum:.6g} at N={truncation})")
-    span_rows = basis_exact
     for i in range(dim):
-        unit = [Fraction(1 if j == i else 0) for j in range(dim)]
-        declared_member = _in_exact_span(span_rows, unit, dim)
+        # a unit vector lies in the nullspace exactly when its column of
+        # the pattern matrix is zero
+        declared_member = not reduce_spec(fam[i]).patterns
         stats = growth_statistics(
             fam, [1.0 if j == i else 0.0 for j in range(dim)], truncation)
         verdict = stats.verdict(threshold)
@@ -240,35 +240,6 @@ def k_space_basis(fam: FamilyVector, dim: int | None = None,
                 f"series {i} is declared conditionally convergent but its "
                 f"absolute sums test bounded")
     return basis
-
-
-def _in_exact_span(rows: list[list[Fraction]], vec: list[Fraction],
-                   ncols: int) -> bool:
-    work = [row[:] for row in rows]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0),
-                         None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(work):
-            break
-    target = vec[:]
-    for row_at, c in pivots:
-        if target[c] != 0:
-            f = target[c]
-            target = [t - f * x for t, x in zip(target, work[row_at])]
-    return all(t == 0 for t in target)
 
 
 def r_space(k_basis: Sequence[CoefficientVector], dim: int) -> list[np.ndarray]:

@@ -1,4 +1,5 @@
 """Condition validity, the refinement order, and the chain driver."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,16 @@ def test_order_is_reflexive():
     cond = initial_condition(PAIR, TARGETS)
     link = leq(cond, cond, PAIR)
     assert link.ok
+
+
+def test_order_measures_blocks_in_the_dimensions_the_family_has():
+    # rejecting a dimension beyond the family is is_condition's job
+    upper = Condition((), 3, Fraction(1))
+    lower = Condition((0, 1), 3, Fraction(1, 4))
+    link = leq(lower, upper, PAIR)
+    last_prefix = pytest.approx(math.hypot(0.5, 1.5), rel=1e-15)
+    assert link.bullet("block-prefixes").value == last_prefix
+    assert link.bullet("tolerance-step").value == last_prefix
 
 
 def test_order_rejects_non_extensions(small_chain):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumchase import (BudgetExhaustedError, InputError, abs_power,
@@ -129,6 +129,16 @@ def test_partial_sum_vector_stacks_coordinates():
     assert vec[1] == partial_sum(fam[1], idx)
 
 
+@pytest.mark.parametrize("indices", [[3, -1], [4, 7, 4]],
+                         ids=["negative", "duplicate"])
+def test_partial_sums_reject_bad_indices(indices):
+    fam = family(rademacher_harmonic(0), rademacher_harmonic(1))
+    with pytest.raises(InputError):
+        partial_sum(fam[0], indices)
+    with pytest.raises(InputError):
+        partial_sum_vector(fam, indices)
+
+
 def test_classical_sum_alternating_harmonic_is_ln_two():
     assert classical_sum(power_alternating(1.0), 1e-9) == pytest.approx(
         LN2, abs=1e-9)
@@ -236,10 +246,10 @@ def test_tail_bound_is_sound_for_every_later_index(start, offset):
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=3000), min_size=1,
                 max_size=30, unique=True))
+@example([1922])  # libm pow and numpy disagree by one rounding step here
 def test_vector_terms_rows_match_singleton_sums(indices):
     fam = family(rademacher_harmonic(0), rademacher_harmonic(2))
     rows = vector_terms(fam, indices, 2)
     assert rows.shape == (len(indices), 2)
     for row, m in zip(rows, indices):
-        assert row[0] == term(fam[0], m)
-        assert row[1] == term(fam[1], m)
+        assert np.array_equal(row, partial_sum_vector(fam, [m]))
