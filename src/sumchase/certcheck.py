@@ -1,12 +1,15 @@
 """Independent rechecking of emitted certificates.
 
-This module re-derives every claim in a certificate from scratch: plain
-per-coordinate running sums over the recorded injections, term-by-term
-scans of the unused indices, and exact rational comparisons against the
-recorded tolerances.  It shares only the input parsers, the scalar term
-evaluator ``term`` and the tail envelope ``tail_sup_bound`` with the
-engine, which sums through the vectorized ``term_array`` instead, so a
-bookkeeping bug in the chain builder cannot silently vouch for itself.
+This module re-derives every claim in a certificate from scratch:
+per-coordinate sums over the recorded injections, a scan of the unused
+indices below a cutoff, and exact rational comparisons against the
+recorded tolerances.  It shares only the input parsers, the vectorized
+term evaluator ``term_array`` and the tail envelope ``tail_sup_bound``
+with the engine.  Its bookkeeping is its own: the index checks, the
+used-index mask and the sums, which it forms in its own chunked,
+compensated way (``math.fsum`` per coordinate, and block prefixes from
+short ``np.cumsum`` runs on an exactly rounded carry), so a bookkeeping
+bug in the chain builder cannot silently vouch for itself.
 
 Recorded norms must agree with the recomputed ones to within 1e-9, and
 every inequality is re-certified with the same slack margin the builder
@@ -17,12 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .confinement import ConstantSchedule, DEFAULT_SCHEDULE
 from .fileio import (CERTIFICATE_VERSION, CertificateData, LinkRecord,
                      parse_certificate, parse_spec_file)
-from .series import FamilyVector, tail_sup_bound, term
+from .series import FamilyVector, tail_sup_bound, term_array
 
 #: Slack for certified strict inequalities, restated independently.
 CHECK_SLACK = Fraction(1, 10 ** 9)
@@ -33,6 +38,14 @@ RECORD_TOLERANCE = 1e-9
 #: Unused indices below ``len(injection) + TAIL_CUTOFF_SPAN`` are scanned
 #: one by one; the monotone tail envelope covers the rest.
 TAIL_CUTOFF_SPAN = 10_000
+
+#: Terms per ``np.cumsum`` run in a prefix scan; the error bound in
+#: :func:`_running_sums` grows with it.
+_PREFIX_RUN = 4096
+
+#: Indices per term evaluation in the unused-index scan, which keeps
+#: memory flat on long injections.
+_TERM_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,34 +64,83 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-class _RunningSums:
-    """Compensated per-coordinate accumulation of term vectors."""
-
-    def __init__(self, dim: int) -> None:
-        self.dim = dim
-        self.values = [0.0] * dim
-        self._carry = [0.0] * dim
-
-    def add(self, fam: FamilyVector, index: int) -> None:
-        for i in range(self.dim):
-            y = term(fam[i], index) - self._carry[i]
-            t = self.values[i] + y
-            self._carry[i] = (t - self.values[i]) - y
-            self.values[i] = t
-
-    def norm(self) -> float:
-        return math.hypot(*self.values)
-
-
 def _certified_below(value: float, bound: Fraction) -> bool:
-    return Fraction(value) + CHECK_SLACK < bound
+    return math.isfinite(value) and Fraction(value) + CHECK_SLACK < bound
+
+
+def _index_array(injection: Sequence[int]) -> np.ndarray | None:
+    """The injection as int64, or None unless its entries are distinct,
+    nonnegative and below ``2**63``."""
+    try:
+        ms = np.asarray(injection, dtype=np.int64)
+    except OverflowError:
+        return None
+    ordered = np.sort(ms)
+    if ordered.size and (ordered[0] < 0
+                         or (ordered[1:] == ordered[:-1]).any()):
+        return None
+    return ms
+
+
+def _chunks(ms: np.ndarray, size: int) -> Iterator[np.ndarray]:
+    return (ms[start:start + size] for start in range(0, len(ms), size))
+
+
+def _largest_unused_term(fam: FamilyVector, d: int, used: np.ndarray,
+                         cutoff: int) -> float:
+    """Largest Euclidean norm of a d-dimensional term vector at an index
+    below ``cutoff`` that ``used`` does not contain."""
+    mask = np.ones(cutoff, dtype=bool)
+    mask[used[used < cutoff]] = False
+    worst = 0.0
+    for part in _chunks(np.flatnonzero(mask), _TERM_CHUNK):
+        sizes = np.abs(term_array(fam[0], part))
+        for i in range(1, d):
+            sizes = np.hypot(sizes, term_array(fam[i], part))
+        worst = max(worst, float(sizes.max()))
+    return worst
+
+
+def _running_sums(fam: FamilyVector, d: int,
+                  ms: np.ndarray) -> tuple[list[float], float]:
+    """Coordinate sums of the terms at ``ms`` and their largest prefix norm.
+
+    The indices are cut into runs of at most ``n = _PREFIX_RUN`` terms.  A
+    run's prefixes are ``c + np.cumsum(t)``, where the carry ``c`` is the
+    sum of all earlier terms, kept as an unevaluated pair ``hi + lo`` of
+    ``math.fsum`` results: ``hi`` is the exactly rounded sum and ``lo``
+    the rounded rest, so the pair drifts from the exact sum by at most
+    ``2**-106 |c|`` per run.  With unit roundoff ``u = 2**-53`` and
+    ``g = (n + 1) u / (1 - (n + 1) u)``, each prefix coordinate is then
+    within ``u |c| + g (|c| + sum |t_j|)`` of its exact value, the sum
+    running over the run's terms.  For n = 4096, ``g < 4.6e-13``, so
+    while ``|c| + sum |t_j|`` stays below 100 the error stays below
+    5e-11, a twentieth of ``CHECK_SLACK``.  The norm adds a few ulps on
+    top.  The returned sums are the ``hi`` parts after the last run.
+    """
+    hi = [0.0] * d
+    lo = [0.0] * d
+    peak = 0.0
+    for part in _chunks(ms, _PREFIX_RUN):
+        norms = None
+        for i in range(d):
+            run = term_array(fam[i], part)
+            prefix = np.cumsum(run) + hi[i]
+            norms = np.abs(prefix) if norms is None else np.hypot(norms,
+                                                                  prefix)
+            values = run.tolist()
+            total = math.fsum([hi[i], lo[i], *values])
+            lo[i] = math.fsum([hi[i], lo[i], *values, -total])
+            hi[i] = total
+        peak = max(peak, float(norms.max()))
+    return hi, peak
 
 
 def _condition_failures(fam: FamilyVector, cond, targets: Sequence[float],
                         schedule: ConstantSchedule, label: str) -> list[str]:
     fails = []
-    inj = cond.injection
-    if len(set(inj)) != len(inj) or any(i < 0 for i in inj):
+    inj = _index_array(cond.injection)
+    if inj is None:
         fails.append(f"{label}: injection is not a map into distinct "
                      f"nonnegative indices")
     if not 1 <= cond.dim <= min(len(fam), len(targets)):
@@ -88,24 +150,14 @@ def _condition_failures(fam: FamilyVector, cond, targets: Sequence[float],
     if fails:
         return fails
     d = cond.dim
-    running = _RunningSums(d)
-    for m in inj:
-        running.add(fam, m)
-    dev = math.hypot(*(running.values[i] - float(targets[i])
-                       for i in range(d)))
+    sums, _ = _running_sums(fam, d, inj)
+    dev = math.hypot(*(sums[i] - float(targets[i]) for i in range(d)))
     if not _certified_below(dev, cond.eps):
         fails.append(f"{label}: deviation {dev!r} is not certifiably below "
                      f"eps={cond.eps}")
     ceiling = cond.eps / Fraction(schedule.value_at(d))
     cutoff = len(inj) + TAIL_CUTOFF_SPAN
-    used = set(inj)
-    worst = 0.0
-    for m in range(cutoff):
-        if m in used:
-            continue
-        size = math.hypot(*(term(fam[i], m) for i in range(d)))
-        if size > worst:
-            worst = size
+    worst = _largest_unused_term(fam, d, inj, cutoff)
     if worst > 0.0 and not _certified_below(worst, ceiling):
         fails.append(f"{label}: unused index below {cutoff} has size "
                      f"{worst!r}, not certifiably below eps/C={ceiling}")
@@ -127,16 +179,16 @@ def _link_failures(fam: FamilyVector, lower, upper, record: LinkRecord,
         fails.append(f"{label}: active dimension shrank "
                      f"({upper.dim} -> {lower.dim})")
         return fails
-    d = upper.dim
-    block = lower.injection[k:]
-    running = _RunningSums(d)
-    prefix_max = 0.0
-    for m in block:
-        running.add(fam, m)
-        size = running.norm()
-        if size > prefix_max:
-            prefix_max = size
-    block_norm = running.norm() if block else 0.0
+    if upper.dim > len(fam):
+        fails.append(f"{label}: dimension {upper.dim} is out of range")
+        return fails
+    block = _index_array(lower.injection[k:])
+    if block is None:
+        fails.append(f"{label}: appended block is not a run of distinct "
+                     f"nonnegative indices")
+        return fails
+    sums, prefix_max = _running_sums(fam, upper.dim, block)
+    block_norm = math.hypot(*sums) if len(block) else 0.0
     two_eps = 2 * upper.eps
     if prefix_max > 0.0 and not _certified_below(prefix_max, two_eps):
         fails.append(f"{label}: appended block has a prefix of size "

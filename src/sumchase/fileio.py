@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,8 +132,7 @@ def parse_spec_file(path: str) -> list[FamilyVector]:
 # Traces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """One appended index with the term it contributed and the sums so far."""
 
     step: int
@@ -144,7 +143,13 @@ class TraceRow:
     active_eps: Fraction | None = None
 
 
+#: Steps per cumulative-sum chunk.  The running sums are carried from one
+#: chunk to the next, so this constant fixes the bits of the sum columns.
 _TRACE_CHUNK = 1 << 16
+
+#: Rows converted from arrays to Python objects at a time.  Larger slices
+#: hold more objects at once and were no faster.
+_ROW_SLICE = 1024
 
 
 def trace_rows(fam: FamilyVector, injection: Sequence[int], dim: int,
@@ -154,36 +159,42 @@ def trace_rows(fam: FamilyVector, injection: Sequence[int], dim: int,
     Yields rows lazily (chains can run to millions of steps).  With a
     chain, each row also records which condition was active when the
     index was appended: the shallowest condition whose prefix already
-    contains that step.
+    contains that step.  Steps past the chain's last condition carry
+    ``None`` for both.
     """
-    boundaries = None
+    labels: list[tuple[int | None, Fraction | None]] = [(None, None)]
+    lengths = np.zeros(0, dtype=np.int64)
     if chain is not None:
-        boundaries = [(len(c.injection), c.dim, c.eps)
-                      for c in chain.conditions]
+        labels = [(c.dim, c.eps) for c in chain.conditions] + labels
+        # the running maximum keeps "first condition longer than the
+        # step" a sorted search even for hand-built chains
+        lengths = np.maximum.accumulate(
+            [len(c.injection) for c in chain.conditions])
     carry = np.zeros(dim)
     indices = np.asarray(injection, dtype=np.int64)
     for start in range(0, len(indices), _TRACE_CHUNK):
         part = indices[start:start + _TRACE_CHUNK]
         terms = vector_terms(fam, part, dim)
         sums = np.cumsum(terms, axis=0) + carry
-        if len(part):
-            carry = sums[-1].copy()
-        for offset in range(len(part)):
-            step = start + offset
-            active_dim = active_eps = None
-            if boundaries is not None:
-                for length, cdim, ceps in boundaries:
-                    if step < length:
-                        active_dim, active_eps = cdim, ceps
-                        break
-            yield TraceRow(step, int(part[offset]),
-                           tuple(float(v) for v in terms[offset]),
-                           tuple(float(v) for v in sums[offset]),
-                           active_dim, active_eps)
+        carry = sums[-1].copy()
+        owner = np.searchsorted(lengths, np.arange(start, start + len(part)),
+                                side="right")
+        cuts = [0, *(np.flatnonzero(np.diff(owner)) + 1).tolist(), len(part)]
+        for first, stop in zip(cuts[:-1], cuts[1:]):
+            active_dim, active_eps = labels[int(owner[first])]
+            for lo in range(first, stop, _ROW_SLICE):
+                hi = min(lo + _ROW_SLICE, stop)
+                for step, index, row_terms, row_sums in zip(
+                        range(start + lo, start + hi), part[lo:hi].tolist(),
+                        map(tuple, terms[lo:hi].tolist()),
+                        map(tuple, sums[lo:hi].tolist())):
+                    yield TraceRow(step, index, row_terms, row_sums,
+                                   active_dim, active_eps)
 
 
 def emit_trace(rows: Iterable[TraceRow], out: IO[str]) -> None:
-    """Write trace rows as CSV with repr floats, streaming."""
+    """Write trace rows as CSV with repr floats, streaming one write per
+    row."""
     iterator = iter(rows)
     first = next(iterator, None)
     dim = len(first.terms) if first is not None else 1
@@ -196,13 +207,17 @@ def emit_trace(rows: Iterable[TraceRow], out: IO[str]) -> None:
     out.write(",".join(header) + "\n")
     if first is None:
         return
+    row_format = "%s,%s" + ",%r" * (2 * dim) + "%s"
+    # the condition columns change only at condition boundaries, so they
+    # are rendered once per run of rows that share them
+    suffix, shown_dim, shown_eps = "\n", None, None
     for row in itertools.chain((first,), iterator):
-        cells = [str(row.step), str(row.index)]
-        cells += [repr(v) for v in row.terms]
-        cells += [repr(v) for v in row.sums]
-        if annotated:
-            cells += [str(row.active_dim), str(row.active_eps)]
-        out.write(",".join(cells) + "\n")
+        if annotated and (row.active_eps is not shown_eps
+                          or row.active_dim != shown_dim):
+            shown_dim, shown_eps = row.active_dim, row.active_eps
+            suffix = f",{shown_dim},{shown_eps}\n"
+        out.write(row_format % (row.step, row.index, *row.terms, *row.sums,
+                                suffix))
 
 
 def write_trace(path: str, rows: Iterable[TraceRow]) -> None:
@@ -276,51 +291,88 @@ def _parse_fields(text: str, where: str) -> dict[str, str]:
     return fields
 
 
+def _convert(kind, text: str, where: str, what: str):
+    """``kind(text)``, with a malformed value reported as an InputError."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{where}: {what} {text!r} is not a valid "
+                         f"{kind.__name__}") from exc
+
+
+def _finite_float(text: str, where: str, what: str) -> float:
+    value = _convert(float, text, where, what)
+    if not math.isfinite(value):
+        raise InputError(f"{where}: {what} must be finite, got {text!r}")
+    return value
+
+
+def _certificate_lines(path: str) -> Iterator[tuple[str, str]]:
+    """Yield ``(where, line)`` for each nonblank certificate line."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                if raw.strip():
+                    yield f"{path}:{lineno}", raw.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: certificate is not UTF-8 text") from exc
+
+
 def parse_certificate(path: str) -> CertificateData:
-    """Read a certificate file back into structured form."""
+    """Read a certificate file back into structured form.
+
+    Every malformed line, including a non-finite target, schedule value
+    or recorded norm, raises :class:`InputError`.
+    """
     version = None
     targets: tuple[float, ...] = ()
     schedule_values: tuple[float, ...] = ()
     conditions: dict[int, Condition] = {}
     links: list[LinkRecord] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            head, _, rest = line.partition(":")
-            rest = rest.strip()
-            head = head.strip()
-            if head == "certificate-version":
-                version = int(rest)
-            elif head == "targets":
-                targets = tuple(float(x) for x in rest.split(","))
-            elif head == "schedule":
-                schedule_values = tuple(float(x) for x in rest.split(","))
-            elif head.startswith("condition "):
-                pos = int(head.split()[1])
-                fields = _parse_fields(rest, where)
-                if set(fields) != {"f", "d", "eps"}:
-                    raise InputError(f"{where}: condition lines carry f, d, eps")
-                f_text = fields["f"]
-                injection = tuple(
-                    int(i) for i in f_text.split(",")) if f_text else ()
-                conditions[pos] = Condition(injection, int(fields["d"]),
-                                            Fraction(fields["eps"]))
-            elif head.startswith("link "):
-                arrow = head.split()[1]
-                lower_s, _, upper_s = arrow.partition("->")
-                fields = _parse_fields(rest, where)
-                if set(fields) != {"block_prefix_max", "block_sum_norm"}:
-                    raise InputError(
-                        f"{where}: link lines carry block_prefix_max and "
-                        f"block_sum_norm")
-                links.append(LinkRecord(int(lower_s), int(upper_s),
-                                        float(fields["block_prefix_max"]),
-                                        float(fields["block_sum_norm"])))
-            else:
-                raise InputError(f"{where}: unrecognized line {line!r}")
+    for where, line in _certificate_lines(path):
+        head, _, rest = line.partition(":")
+        rest = rest.strip()
+        head = head.strip()
+        if head == "certificate-version":
+            version = _convert(int, rest, where, "version")
+        elif head == "targets":
+            targets = tuple(_finite_float(x, where, "target")
+                            for x in rest.split(","))
+        elif head == "schedule":
+            schedule_values = tuple(_finite_float(x, where, "schedule value")
+                                    for x in rest.split(","))
+        elif head.startswith("condition "):
+            pos = _convert(int, head.split()[1], where, "condition number")
+            fields = _parse_fields(rest, where)
+            if set(fields) != {"f", "d", "eps"}:
+                raise InputError(f"{where}: condition lines carry f, d, eps")
+            f_text = fields["f"]
+            try:
+                injection = (tuple(map(int, f_text.split(",")))
+                             if f_text else ())
+            except ValueError as exc:
+                raise InputError(f"{where}: f must be comma-separated "
+                                 f"integers") from exc
+            conditions[pos] = Condition(
+                injection, _convert(int, fields["d"], where, "d"),
+                _convert(Fraction, fields["eps"], where, "eps"))
+        elif head.startswith("link "):
+            arrow = head.split()[1]
+            lower_s, _, upper_s = arrow.partition("->")
+            fields = _parse_fields(rest, where)
+            if set(fields) != {"block_prefix_max", "block_sum_norm"}:
+                raise InputError(
+                    f"{where}: link lines carry block_prefix_max and "
+                    f"block_sum_norm")
+            links.append(LinkRecord(
+                _convert(int, lower_s, where, "condition number"),
+                _convert(int, upper_s, where, "condition number"),
+                _finite_float(fields["block_prefix_max"], where,
+                              "block_prefix_max"),
+                _finite_float(fields["block_sum_norm"], where,
+                              "block_sum_norm")))
+        else:
+            raise InputError(f"{where}: unrecognized line {line!r}")
     if version is None:
         raise InputError(f"{path}: missing certificate-version line")
     if not conditions:

@@ -1,10 +1,14 @@
 """Independent certificate verification, including tamper detection."""
+import math
 import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sumchase import verify_certificate, write_certificate
-from sumchase.certcheck import verify_data
+from sumchase.certcheck import _running_sums, verify_data
+from sumchase.series import term_array
 from sumchase.fileio import parse_certificate
 from conftest import RAD_PAIR_ENTRIES, write_family_file
 
@@ -91,3 +95,78 @@ def test_verify_data_works_on_parsed_structures(cert_setup, small_chain):
     data = parse_certificate(cert)
     report = verify_data(data, fam, targets)
     assert report.ok
+
+
+def _sub(prefix, pattern, repl):
+    """Certificate edit: ``re.sub`` once on the line starting with
+    ``prefix``."""
+    def edit(lines):
+        return [re.sub(pattern, repl, line, count=1)
+                if line.startswith(prefix) else line for line in lines]
+    return edit
+
+
+def _compose(*edits):
+    def edit(lines):
+        for step in edits:
+            lines = step(lines)
+        return lines
+    return edit
+
+
+# The one-round chain has condition 0 (empty, d=1, eps=3) and condition 1
+# (d=2), joined by link 1->0.
+@pytest.mark.parametrize("edit, label, fragment", [
+    (_compose(_sub("condition 0:", "f= ", "f=-1 "),
+              _sub("condition 1:", "f=", "f=-1,")),
+     "condition 0", "distinct nonnegative"),
+    (_sub("condition 1:", r"d=\d+", "d=3"), "condition 1",
+     "dimension 3 is out of range"),
+    (_sub("condition 1:", r"f=\d+,", "f="), "condition 1",
+     "unused index below"),
+    (_sub("condition 0:", r"eps=\S+", "eps=1/10"), "link 1->0",
+     "appended block has a prefix"),
+    (_sub("condition 1:", r"eps=\S+", "eps=3"), "link 1->0",
+     "exceeds 2*eps"),
+    (_sub("condition 0:", "f= ", "f=1 "), "link 1->0", "does not extend"),
+    (_compose(_sub("condition 0:", r"d=\d+", "d=2"),
+              _sub("condition 1:", r"d=\d+", "d=1")),
+     "link 1->0", "dimension shrank (2 -> 1)"),
+    (_sub("link ", r"(?s).*", ""), "links", "expected 1 link lines, found 0"),
+    (_sub("link ", r"block_sum_norm=\S+", "block_sum_norm=0.5"),
+     "link 1->0", "recorded block_sum_norm=0.5"),
+    (_sub("condition 1:", "f=", "f=-1,"), "link 1->0",
+     "appended block is not"),
+    (_compose(_sub("condition 0:", r"d=\d+", "d=3"),
+              _sub("condition 1:", r"d=\d+", "d=3")),
+     "link 1->0", "dimension 3 is out of range"),
+], ids=["negative-index", "dim-out-of-range", "unused-small-index",
+        "block-prefix", "tolerance-step", "not-an-extension",
+        "shrinking-dim", "link-count", "tampered-block-sum",
+        "negative-block-index", "link-dim-out-of-range"])
+def test_each_broken_claim_is_reported_under_its_label(cert_setup, edit,
+                                                       label, fragment):
+    cert, spec, _ = cert_setup
+    lines = open(cert).read().splitlines(keepends=True)
+    doctored = edit(lines)
+    assert doctored != lines
+    open(cert, "w").writelines(doctored)
+    report = verify_certificate(cert, spec)
+    assert not report.ok
+    assert any(f.startswith(label + ":") and fragment in f
+               for f in report.failures), report.failures
+
+
+def test_running_sums_match_an_exact_running_sum(rad_pair):
+    # 10 000 terms cross two prefix-run boundaries; the reference adds
+    # every term exactly (dyadic fractions) and rounds each prefix once
+    block = np.random.default_rng(5).permutation(20_000)[:10_000]
+    cols = [term_array(spec, block).tolist() for spec in rad_pair]
+    exact = [Fraction(0), Fraction(0)]
+    peak = 0.0
+    for row in zip(*cols):
+        exact = [s + Fraction(t) for s, t in zip(exact, row)]
+        peak = max(peak, math.hypot(*(float(s) for s in exact)))
+    sums, prefix_max = _running_sums(rad_pair, 2, block)
+    assert sums == [float(s) for s in exact]
+    assert abs(prefix_max - peak) <= 1e-12

@@ -127,6 +127,42 @@ def test_extend_run_then_verify_roundtrip(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+_GOOD_CERT = ("certificate-version: 1\n"
+              "targets: 0.1,-0.2\n"
+              "condition 0: f= d=1 eps=3\n")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("certificate-version: 1", "certificate-version: x"),
+    ("targets: 0.1,-0.2", "targets: 0.1,abc"),
+    ("targets: 0.1,-0.2", "targets: nan,-0.2"),
+    ("targets: 0.1,-0.2", "targets: 0.1,-0.2\nschedule: 2.0,inf"),
+    ("f= ", "f=5,x,7 "),
+    ("eps=3", "eps=1/0"),
+    ("d=1", "d=one"),
+    ("condition 0:", "condition zero:"),
+    ("eps=3\n", "eps=3\nlink 1->x: block_prefix_max=0.1 "
+                "block_sum_norm=0.1\n"),
+    ("eps=3\n", "eps=3\nlink 1->0: block_prefix_max=nan "
+                "block_sum_norm=0.1\n"),
+    ("0.1,-0.2", "0.1,-0.2\udcff"),
+], ids=["version", "target", "nan-target", "inf-schedule", "index",
+        "zero-denominator", "dim", "condition-number", "link-number",
+        "nan-norm", "not-utf8"])
+def test_malformed_certificate_is_an_input_error(tmp_path, old, new):
+    spec = write_family_file(tmp_path / "pair.json", [RAD_PAIR_ENTRIES])
+    cert = tmp_path / "bad.cert"
+    assert old in _GOOD_CERT
+    cert.write_bytes(_GOOD_CERT.replace(old, new, 1).encode(
+        "utf-8", "surrogateescape"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sumchase.cli", "verify", "--cert", str(cert),
+         "--spec", spec], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_analyze_reports_structure(tmp_path, capsys):
     spec = write_family_file(tmp_path / "triple.json", [TRIPLE_ENTRIES])
     out = tmp_path / "report.txt"

@@ -3,12 +3,15 @@ import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sumchase import (InputError, abs_power, family, parse_certificate,
                       parse_spec_file, power_alternating, rademacher_harmonic,
                       trace_rows, write_certificate, write_trace)
+from sumchase.conditions import CertificateChain, Condition
 from sumchase.fileio import emit_trace, parse_family
+from sumchase.series import vector_terms
 from conftest import write_family_file
 
 
@@ -107,6 +110,58 @@ def test_trace_files_are_byte_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[0]
     assert header == "step,index,term_0,term_1,sum_0,sum_1"
+
+
+def _reference_trace(fam, injection, dim, chain=None) -> str:
+    """Row-by-row trace formatter: per-row condition lookup, ``repr`` of
+    each float, running sums carried across chunks of 2**16 steps."""
+    chunk = 1 << 16
+    boundaries = None if chain is None else [
+        (len(c.injection), c.dim, c.eps) for c in chain.conditions]
+    header = ["step", "index"] + [f"term_{i}" for i in range(dim)]
+    header += [f"sum_{i}" for i in range(dim)]
+    if chain is not None:
+        header += ["active_dim", "active_eps"]
+    lines = [",".join(header)]
+    carry = np.zeros(dim)
+    for start in range(0, len(injection), chunk):
+        part = np.asarray(injection[start:start + chunk], dtype=np.int64)
+        terms = vector_terms(fam, part, dim)
+        sums = np.cumsum(terms, axis=0) + carry
+        carry = sums[-1].copy()
+        for offset in range(len(part)):
+            step = start + offset
+            cells = [str(step), str(int(part[offset]))]
+            cells += [repr(float(v)) for v in terms[offset]]
+            cells += [repr(float(v)) for v in sums[offset]]
+            if boundaries is not None:
+                active = (None, None)
+                for length, cdim, ceps in boundaries:
+                    if step < length:
+                        active = (cdim, ceps)
+                        break
+                cells += [str(active[0]), str(active[1])]
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("annotated", [True, False])
+def test_trace_bytes_across_chunk_and_condition_boundaries(tmp_path,
+                                                           annotated):
+    # conditions end at steps 0, 40 000 and 70 000, so the trace crosses
+    # a condition boundary inside the first 2**16-step chunk and a chunk
+    # boundary inside the last condition; five steps run past the chain
+    fam = family(rademacher_harmonic(0), rademacher_harmonic(3))
+    order = np.random.default_rng(7).permutation(90_000)[:70_005].tolist()
+    chain = CertificateChain(
+        (Condition((), 1, Fraction(3)),
+         Condition(tuple(order[:40_000]), 1, Fraction(1, 7)),
+         Condition(tuple(order[:70_000]), 2, Fraction(22, 7_000))), (), ())
+    use = chain if annotated else None
+    path = tmp_path / "trace.csv"
+    write_trace(str(path), trace_rows(fam, order, 2, use))
+    assert path.read_bytes() == _reference_trace(fam, order, 2,
+                                                 use).encode()
 
 
 def test_certificate_roundtrip_preserves_everything(small_chain, tmp_path):

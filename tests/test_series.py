@@ -82,6 +82,9 @@ def test_negative_index_rejected():
 
 
 def test_term_array_matches_scalar_term_exactly_for_integer_exponents():
+    # Exact only at the small indices checked here; at m = 1922 libm
+    # ``pow`` and numpy's reciprocal round the alternating harmonic term
+    # differently (see the one-ulp test at large indices below).
     specs = [rademacher_harmonic(2),
              power_alternating(1.0),
              abs_power(3.0, scale=2.0, sign_level=0),
@@ -103,6 +106,25 @@ def test_term_array_within_one_ulp_for_fractional_exponents():
         for m in range(40):
             scalar = term(spec, m)
             assert abs(arr[m] - scalar) <= math.ulp(scalar)
+
+
+def test_term_array_within_one_ulp_of_scalar_term_at_large_index():
+    # Integer exponents are no exception here: at m = 1922 libm ``pow`` and
+    # numpy's reciprocal round the alternating harmonic term differently.
+    specs = [rademacher_harmonic(0),
+             rademacher_harmonic(2),
+             power_alternating(1.0),
+             abs_power(3.0, scale=2.0, sign_level=0),
+             composite([(1.0, rademacher_harmonic(0)),
+                        (-0.5, rademacher_harmonic(1))],
+                       perturbation=abs_power(3.0)),
+             power_alternating(0.5),
+             abs_power(1.5, scale=2.0, sign_level=0)]
+    ms = np.array([1922])
+    for spec in specs:
+        arr = term_array(spec, ms)
+        scalar = term(spec, 1922)
+        assert abs(arr[0] - scalar) <= math.ulp(scalar)
 
 
 def test_partial_sum_matches_fsum():
