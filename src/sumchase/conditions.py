@@ -82,7 +82,7 @@ class Condition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "injection",
-                           tuple(int(i) for i in self.injection))
+                           tuple(map(int, self.injection)))
         if not isinstance(self.dim, int) or self.dim < 1:
             raise InputError(f"dimension must be a positive int, got {self.dim!r}")
         eps = Fraction(self.eps)
@@ -142,9 +142,9 @@ def is_condition(cond: Condition, fam: FamilyVector, targets,
     targets_t = _targets_tuple(targets)
     bullets: list[BulletCheck] = []
     inj = cond.injection
-    dup_free = len(set(inj)) == len(inj) and all(i >= 0 for i in inj)
-    bullets.append(BulletCheck("injective", dup_free,
-                               float(len(inj) - len(set(inj))), 0.0))
+    repeats = len(inj) - len(set(inj))
+    dup_free = repeats == 0 and all(i >= 0 for i in inj)
+    bullets.append(BulletCheck("injective", dup_free, float(repeats), 0.0))
     dims_ok = 1 <= cond.dim <= len(fam) and cond.dim <= len(targets_t)
     bullets.append(BulletCheck("dimension", dims_ok, float(cond.dim),
                                float(min(len(fam), len(targets_t)))))
@@ -159,8 +159,12 @@ def is_condition(cond: Condition, fam: FamilyVector, targets,
                                deviation, float(cond.eps)))
     cutoff = len(inj) + TAIL_CUTOFF_SPAN if cutoff is None else int(cutoff)
     ceiling = cond.eps / Fraction(schedule.value_at(d))
-    unused = np.setdiff1d(np.arange(cutoff, dtype=np.int64),
-                          np.array(inj, dtype=np.int64))
+    # a mask rather than np.setdiff1d, whose hash-based unique is about
+    # 50 times slower on chain-sized injections
+    free = np.ones(max(cutoff, 0), dtype=bool)
+    used = np.array(inj, dtype=np.int64)
+    free[used[used < cutoff]] = False
+    unused = np.flatnonzero(free)
     if unused.size:
         below_max = float(np.linalg.norm(vector_terms(fam, unused, d),
                                          axis=1).max())

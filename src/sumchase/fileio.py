@@ -56,7 +56,7 @@ def _parse_series(obj: object, earlier: Sequence[SeriesSpec],
     if not isinstance(obj, dict):
         raise InputError(f"{where}: series description must be an object")
     kind = obj.get("kind")
-    if kind not in _KEYS_BY_KIND:
+    if not isinstance(kind, str) or kind not in _KEYS_BY_KIND:
         raise InputError(f"{where}: unknown kind {kind!r}")
     _check_keys(obj, kind, where)
     if kind == "rademacher_harmonic":
@@ -80,10 +80,11 @@ def _parse_series(obj: object, earlier: Sequence[SeriesSpec],
             raise InputError(
                 f"{spot}: combo entries carry exactly coefficient and ref")
         coeff = entry["coefficient"]
-        if not isinstance(coeff, (int, float)) or not math.isfinite(coeff):
+        if (isinstance(coeff, bool) or not isinstance(coeff, (int, float))
+                or not math.isfinite(coeff)):
             raise InputError(f"{spot}: coefficient must be a finite number")
         ref = entry["ref"]
-        if isinstance(ref, int):
+        if isinstance(ref, int) and not isinstance(ref, bool):
             if not 0 <= ref < len(earlier):
                 raise InputError(
                     f"{spot}: ref {ref} does not name an earlier series")
@@ -115,6 +116,8 @@ def parse_spec_file(path: str) -> list[FamilyVector]:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: family file is not UTF-8 text") from exc
     if not isinstance(data, dict) or "families" not in data:
         raise InputError(f"{path}: root object must carry a families list")
     families = data["families"]

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -101,7 +100,7 @@ def plan_from_injection(fam: FamilyVector, injection: Sequence[int],
     """Canonical plan builder: all statistics recomputed from the series."""
     tv = _as_target(target)
     dim = len(tv) if dim is None else dim
-    inj = tuple(int(i) for i in injection)
+    inj = tuple(map(int, injection))
     sums = partial_sum_vector(fam, inj, dim)
     deviation = float(np.linalg.norm(sums - tv.as_array()[:dim]))
     if inj:
@@ -444,50 +443,131 @@ def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
                       modulus: int | None = None) -> list[int] | None:
     """Cheap balanced ordering for dyadic blocks.
 
-    Indices are queued by residue class (largest magnitudes first) and the
-    class head that keeps the running ``dim``-dimensional sum smallest is
-    appended each step.  A single pass over class heads per step makes
-    this linear in the block size times the class count, which is what
-    lets the certified chains order blocks of tens of thousands of terms.
-    Returns None as soon as no head stays within ``threshold``.
+    The sorted block is split into one queue per residue class mod
+    ``modulus``: queues in order of first appearance, each ascending, so
+    largest magnitudes first.  Every step appends the queue head that
+    keeps the running ``dim``-dimensional sum smallest in squared norm,
+    ``sum((run[i] + head[i]) ** 2)`` added in coordinate order; on equal
+    norms the earliest queue wins.  Only the heads live in the step loop,
+    as one flat list per coordinate (``heads[i][q]`` is coordinate ``i``
+    of queue ``q``'s head), so a step scores all heads in one list
+    comprehension and then updates the popped queue's entries alone.  The
+    pass is linear in the block size times the queue count, which is what
+    lets the certified chains order blocks of hundreds of thousands of
+    terms.  Returns None as soon as no head stays within ``threshold``.
     """
     if modulus is None:
         modulus = lane_modulus(fam, dim)
         if modulus is None:
             raise StructureError("lane ordering needs a dyadic family")
-    idx = sorted(int(i) for i in indices)
-    if not idx:
+    idx = np.sort(np.asarray(indices, dtype=np.int64))
+    if not idx.size:
         return []
-    rows = vector_terms(fam, idx, dim).tolist()
-    queues: dict[int, deque[int]] = {}
-    for pos, m in enumerate(idx):
-        queues.setdefault(m % modulus, deque()).append(pos)
+    rows = vector_terms(fam, idx, dim)
+    lanes = idx % modulus
+    by_lane = np.argsort(lanes, kind="stable")
+    cuts = np.flatnonzero(np.diff(lanes[by_lane])) + 1
+    # each group lists one lane's positions in ascending order
+    groups = sorted(np.split(by_lane, cuts), key=lambda g: int(g[0]))
+    queues = [idx[g].tolist() for g in groups]
+    columns = [rows[g].T.tolist() for g in groups]
     run = [float(x) for x in offset] if offset is not None else [0.0] * dim
-    limit2 = threshold * threshold
+    loop = _LANE_LOOPS.get(dim, _lane_loop)
+    return loop(queues, columns, run, threshold * threshold)
+
+
+def _lane_loop(queues: list[list[int]], columns: list[list[list[float]]],
+               run: list[float], limit2: float) -> list[int] | None:
+    """Greedy head scan in any dimension: ``columns[q][i]`` is coordinate
+    ``i`` of queue ``q``'s terms."""
+    dim = len(columns[0])
+    heads = [[cols[i][0] for cols in columns] for i in range(dim)]
+    taken = [0] * len(queues)
     out: list[int] = []
-    for _ in range(len(idx)):
-        best_key = -1
-        best_norm2 = math.inf
-        for key, queue in queues.items():
-            row = rows[queue[0]]
-            acc = 0.0
-            for i in range(dim):
-                t = run[i] + row[i]
-                acc += t * t
-            if acc < best_norm2:
-                best_norm2 = acc
-                best_key = key
-        if best_norm2 > limit2:
+    for _ in range(sum(map(len, queues))):
+        r = run[0]
+        accs = [(t := r + h) * t for h in heads[0]]
+        for i in range(1, dim):
+            r = run[i]
+            accs = [acc + (t := r + h) * t for acc, h in zip(accs, heads[i])]
+        best = min(accs)
+        if best > limit2:
             return None
-        queue = queues[best_key]
-        pos = queue.popleft()
-        if not queue:
-            del queues[best_key]
-        row = rows[pos]
+        k = accs.index(best)
         for i in range(dim):
-            run[i] += row[i]
-        out.append(idx[pos])
+            run[i] += heads[i][k]
+        p = taken[k]
+        out.append(queues[k][p])
+        p += 1
+        if p < len(queues[k]):
+            taken[k] = p
+            for i in range(dim):
+                heads[i][k] = columns[k][i][p]
+        else:
+            for i in range(dim):
+                del heads[i][k]
+            del taken[k], queues[k], columns[k]
     return out
+
+
+def _lane_loop_1(queues: list[list[int]], columns: list[list[list[float]]],
+                 run: list[float], limit2: float) -> list[int] | None:
+    """:func:`_lane_loop` unrolled for one coordinate."""
+    cols = [c[0] for c in columns]
+    heads = [c[0] for c in cols]
+    taken = [0] * len(queues)
+    r = run[0]
+    out: list[int] = []
+    for _ in range(sum(map(len, queues))):
+        accs = [(t := r + h) * t for h in heads]
+        best = min(accs)
+        if best > limit2:
+            return None
+        k = accs.index(best)
+        r += heads[k]
+        p = taken[k]
+        out.append(queues[k][p])
+        p += 1
+        if p < len(cols[k]):
+            taken[k] = p
+            heads[k] = cols[k][p]
+        else:
+            del heads[k], taken[k], queues[k], cols[k]
+    return out
+
+
+def _lane_loop_2(queues: list[list[int]], columns: list[list[list[float]]],
+                 run: list[float], limit2: float) -> list[int] | None:
+    """:func:`_lane_loop` unrolled for two coordinates."""
+    cols0 = [c[0] for c in columns]
+    cols1 = [c[1] for c in columns]
+    heads0 = [c[0] for c in cols0]
+    heads1 = [c[0] for c in cols1]
+    taken = [0] * len(queues)
+    r0, r1 = run[0], run[1]
+    out: list[int] = []
+    for _ in range(sum(map(len, queues))):
+        accs = [(t := r0 + a) * t + (u := r1 + b) * u
+                for a, b in zip(heads0, heads1)]
+        best = min(accs)
+        if best > limit2:
+            return None
+        k = accs.index(best)
+        r0 += heads0[k]
+        r1 += heads1[k]
+        p = taken[k]
+        out.append(queues[k][p])
+        p += 1
+        if p < len(cols0[k]):
+            taken[k] = p
+            heads0[k] = cols0[k][p]
+            heads1[k] = cols1[k][p]
+        else:
+            del heads0[k], heads1[k], taken[k], queues[k], cols0[k], cols1[k]
+    return out
+
+
+_LANE_LOOPS = {1: _lane_loop_1, 2: _lane_loop_2}
 
 
 def _select_scalar(spec: SeriesSpec, residual: float, used: set[int],

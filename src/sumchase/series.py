@@ -21,6 +21,7 @@ classification, tail bounds and classical summation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
@@ -40,6 +41,19 @@ _KINDS = (KIND_RADEMACHER, KIND_ALTERNATING, KIND_ABS_POWER, KIND_COMPOSITE)
 DEFAULT_TERM_BUDGET = 50_000_000
 
 _CHUNK = 1 << 18
+
+
+def _as_float(name: str, value: object) -> float:
+    """``float(value)`` for a real number; strings, booleans and other
+    objects given to the factories are input errors."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _is_level(value: object) -> bool:
+    """A sign-pattern level is a nonnegative int (``True`` is not 1)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -89,8 +103,7 @@ class SeriesSpec:
                     "abs_power exponent must exceed 1 for absolute convergence, "
                     f"got {self.exponent!r}")
             _require_finite("scale", self.scale)
-            if self.sign_level is not None and (
-                    not isinstance(self.sign_level, int) or self.sign_level < 0):
+            if self.sign_level is not None and not _is_level(self.sign_level):
                 raise InputError(f"sign_level must be a nonnegative int, got "
                                  f"{self.sign_level!r}")
             self._forbid(combo=self.combo, perturbation=self.perturbation)
@@ -112,7 +125,7 @@ class SeriesSpec:
                         "perturbation must be absolutely convergent")
 
     def _check_level_field(self) -> None:
-        if not isinstance(self.level, int) or self.level < 0:
+        if not _is_level(self.level):
             raise InputError(f"level must be a nonnegative int, got {self.level!r}")
 
     def _check_conditional_exponent(self) -> None:
@@ -132,26 +145,27 @@ class SeriesSpec:
 
 def rademacher_harmonic(level: int, exponent: float = 1.0) -> SeriesSpec:
     """Sign pattern ``(-1)**floor(m / 2**level)`` on magnitudes ``1/(m+1)**p``."""
-    return SeriesSpec(KIND_RADEMACHER, level=level, exponent=float(exponent))
+    return SeriesSpec(KIND_RADEMACHER, level=level,
+                      exponent=_as_float("exponent", exponent))
 
 
 def power_alternating(exponent: float = 1.0) -> SeriesSpec:
     """Plain alternating series ``(-1)**m / (m+1)**p``."""
-    return SeriesSpec(KIND_ALTERNATING, exponent=float(exponent))
+    return SeriesSpec(KIND_ALTERNATING, exponent=_as_float("exponent", exponent))
 
 
 def abs_power(exponent: float, scale: float = 1.0,
               sign_level: int | None = None) -> SeriesSpec:
     """Absolutely convergent power series ``scale / (m+1)**q``, ``q > 1``."""
-    return SeriesSpec(KIND_ABS_POWER, exponent=float(exponent),
-                      scale=float(scale), sign_level=sign_level)
+    return SeriesSpec(KIND_ABS_POWER, exponent=_as_float("exponent", exponent),
+                      scale=_as_float("scale", scale), sign_level=sign_level)
 
 
 def composite(terms: Sequence[tuple[float, SeriesSpec]],
               perturbation: SeriesSpec | None = None) -> SeriesSpec:
     """Finite linear combination of specs plus an optional absolutely
     convergent perturbation."""
-    combo = tuple((float(c), ref) for c, ref in terms)
+    combo = tuple((_as_float("coefficient", c), ref) for c, ref in terms)
     return SeriesSpec(KIND_COMPOSITE, combo=combo, perturbation=perturbation)
 
 

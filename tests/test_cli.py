@@ -163,6 +163,27 @@ def test_malformed_certificate_is_an_input_error(tmp_path, old, new):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("text", [
+    '{"families": [[{"kind": "rademacher_harmonic", "level": 0, '
+    '"exponent": "abc"}]]}',
+    '{"families": [[{"kind": "rademacher_harmonic", "level": 0}]]}\udcff',
+    '{"families": [[{"kind": "rademacher_harmonic", "level": true}]]}',
+    '{"families": [[{"kind": ["rademacher_harmonic"], "level": 0}]]}',
+    '{"families": [[{"kind": "rademacher_harmonic", "level": 0}, '
+    '{"kind": "composite", "combo": [{"coefficient": true, "ref": 0}]}]]}',
+], ids=["string-exponent", "not-utf8", "bool-level", "list-kind",
+        "bool-coefficient"])
+def test_malformed_spec_file_is_an_input_error(tmp_path, text):
+    spec = tmp_path / "bad.json"
+    spec.write_bytes(text.encode("utf-8", "surrogateescape"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sumchase.cli", "analyze", "--spec",
+         str(spec)], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_analyze_reports_structure(tmp_path, capsys):
     spec = write_family_file(tmp_path / "triple.json", [TRIPLE_ENTRIES])
     out = tmp_path / "report.txt"

@@ -2,13 +2,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sumchase import (Condition, InputError, PreconditionError, certified_le,
                       certified_lt, extend, extend_detail, family,
                       initial_condition, is_condition, leq,
                       rademacher_harmonic, run)
-from sumchase.series import partial_sum_vector
+from sumchase.conditions import TAIL_CUTOFF_SPAN
+from sumchase.series import partial_sum_vector, tail_sup_bound, vector_terms
 
 PAIR = family(rademacher_harmonic(0), rademacher_harmonic(1))
 TARGETS = (0.1, -0.2)
@@ -69,6 +71,30 @@ def test_condition_check_flags_thin_tails():
     cond = Condition((), 1, Fraction(1, 1000))
     report = is_condition(cond, PAIR, (0.0, 0.0))
     assert not report.bullet("tail-small").ok
+
+
+@pytest.mark.parametrize("injection,cutoff", [
+    ((0, 2, 5, 40, 7, 10_050), 10),
+    (tuple(range(0, 30, 2)), 6),
+    ((3, 1, 4), 0),
+    ((), None),
+    ((), 25),
+    ((9, 10_003, 10_001, 2), None),
+], ids=["indices-past-cutoff", "cutoff-below-length", "zero-cutoff",
+        "empty-default-cutoff", "empty", "default-cutoff"])
+def test_tail_small_bullet_matches_a_brute_force(injection, cutoff):
+    d = 2
+    cond = Condition(injection, d, Fraction(1, 100))
+    report = is_condition(cond, PAIR, TARGETS, cutoff=cutoff)
+    cut = len(injection) + TAIL_CUTOFF_SPAN if cutoff is None else cutoff
+    unused = sorted(set(range(cut)) - set(injection))
+    below = 0.0
+    if unused:
+        below = float(np.linalg.norm(vector_terms(PAIR, unused, d),
+                                     axis=1).max())
+    bullet = report.bullet("tail-small")
+    assert bullet.value == max(below, tail_sup_bound(PAIR, cut, d))
+    assert bullet.note == f"cutoff={cut}"
 
 
 def test_order_is_reflexive():

@@ -1,5 +1,7 @@
 """Target chasing for single series and independent families."""
 import math
+import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from sumchase import (BudgetExhaustedError, InputError, PreconditionError,
                       power_alternating, rademacher_harmonic, riemann_rearrange,
                       term, verify_prefix)
 from sumchase.errors import StructureError
-from sumchase.rearrange import select_block_indices
+from sumchase.rearrange import (lane_modulus, order_block_lanes,
+                                select_block_indices)
+from sumchase.series import vector_terms
 
 ALT = power_alternating(1.0)
 LN2 = 0.6931471805599453
@@ -163,6 +167,76 @@ def test_block_selection_approximates_the_residual():
     picks = select_block_indices(fam, 2, residual.copy(), set(), 0.005)
     got = np.asarray([sum(term(fam[i], m) for m in picks) for i in range(2)])
     assert np.linalg.norm(got - residual, ord=np.inf) < 0.05
+
+
+def _reference_order_block_lanes(fam, indices, dim, threshold, offset=None,
+                                 modulus=None):
+    """The per-row lane orderer the flat head lists replaced."""
+    if modulus is None:
+        modulus = lane_modulus(fam, dim)
+    idx = sorted(int(i) for i in indices)
+    if not idx:
+        return []
+    rows = vector_terms(fam, idx, dim).tolist()
+    queues = {}
+    for pos, m in enumerate(idx):
+        queues.setdefault(m % modulus, deque()).append(pos)
+    run = [float(x) for x in offset] if offset is not None else [0.0] * dim
+    limit2 = threshold * threshold
+    out = []
+    for _ in range(len(idx)):
+        best_key = -1
+        best_norm2 = math.inf
+        for key, queue in queues.items():
+            row = rows[queue[0]]
+            acc = 0.0
+            for i in range(dim):
+                t = run[i] + row[i]
+                acc += t * t
+            if acc < best_norm2:
+                best_norm2 = acc
+                best_key = key
+        if best_norm2 > limit2:
+            return None
+        queue = queues[best_key]
+        pos = queue.popleft()
+        if not queue:
+            del queues[best_key]
+        row = rows[pos]
+        for i in range(dim):
+            run[i] += row[i]
+        out.append(idx[pos])
+    return out
+
+
+def test_lane_ordering_matches_the_per_row_reference():
+    rng = random.Random(20)
+    # exponent 1e-18 makes every term +-1.0, so heads of different queues
+    # have equal magnitudes and the first-queue tie rule decides
+    exponents = (1.0, 0.5, 1e-18)
+    outcomes = {"list": 0, "none": 0}
+    for case in range(240):
+        exponent = exponents[case % 3]
+        fam = family(*(rademacher_harmonic(level, exponent)
+                       for level in range(4)))
+        dim = 1 + case % 4
+        modulus = (None, 8, 16)[case // 4 % 3]
+        span = rng.choice((64, 600, 4000))
+        block = rng.sample(range(span), rng.randint(0, min(span, 220)))
+        offset = None
+        if case // 12 % 2:
+            offset = [rng.uniform(-0.5, 0.5) for _ in range(dim)]
+        threshold = math.inf
+        if rng.random() < 0.6:
+            threshold = rng.uniform(0.3, 3.0) * (2.0 if exponent < 1e-9
+                                                 else 1.0)
+        want = _reference_order_block_lanes(fam, block, dim, threshold,
+                                            offset=offset, modulus=modulus)
+        got = order_block_lanes(fam, block, dim, threshold, offset=offset,
+                                modulus=modulus)
+        assert got == want, (case, dim, modulus, exponent, threshold)
+        outcomes["none" if want is None else "list"] += 1
+    assert min(outcomes.values()) >= 40, outcomes
 
 
 @settings(max_examples=25, deadline=None)

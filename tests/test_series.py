@@ -62,6 +62,12 @@ def test_composite_terms_are_the_declared_combination():
     lambda: rademacher_harmonic(0, 1.5),
     lambda: composite([]),
     lambda: abs_power(2.0, scale=float("nan")),
+    lambda: rademacher_harmonic(0, "abc"),
+    lambda: rademacher_harmonic(True),
+    lambda: power_alternating(None),
+    lambda: abs_power(2.0, scale="1"),
+    lambda: abs_power(2.0, sign_level=True),
+    lambda: composite([(True, power_alternating())]),
 ])
 def test_invalid_constructions_are_rejected(bad):
     with pytest.raises(InputError):
