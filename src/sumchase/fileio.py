@@ -80,8 +80,7 @@ def _parse_series(obj: object, earlier: Sequence[SeriesSpec],
             raise InputError(
                 f"{spot}: combo entries carry exactly coefficient and ref")
         coeff = entry["coefficient"]
-        if (isinstance(coeff, bool) or not isinstance(coeff, (int, float))
-                or not math.isfinite(coeff)):
+        if not isinstance(coeff, (int, float)) or not math.isfinite(coeff):
             raise InputError(f"{spot}: coefficient must be a finite number")
         ref = entry["ref"]
         if isinstance(ref, int) and not isinstance(ref, bool):
@@ -91,7 +90,7 @@ def _parse_series(obj: object, earlier: Sequence[SeriesSpec],
             spec = earlier[ref]
         else:
             spec = _parse_series(ref, earlier, spot)
-        terms.append((float(coeff), spec))
+        terms.append((coeff, spec))
     perturbation = None
     if obj.get("perturbation") is not None:
         perturbation = _parse_series(obj["perturbation"], earlier,

@@ -472,19 +472,12 @@ def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
     queues = [idx[g].tolist() for g in groups]
     columns = [rows[g].T.tolist() for g in groups]
     run = [float(x) for x in offset] if offset is not None else [0.0] * dim
-    loop = _LANE_LOOPS.get(dim, _lane_loop)
-    return loop(queues, columns, run, threshold * threshold)
-
-
-def _lane_loop(queues: list[list[int]], columns: list[list[list[float]]],
-               run: list[float], limit2: float) -> list[int] | None:
-    """Greedy head scan in any dimension: ``columns[q][i]`` is coordinate
-    ``i`` of queue ``q``'s terms."""
-    dim = len(columns[0])
+    limit2 = threshold * threshold
+    # columns[q][i][p] is coordinate i of queue q's p-th term
     heads = [[cols[i][0] for cols in columns] for i in range(dim)]
     taken = [0] * len(queues)
     out: list[int] = []
-    for _ in range(sum(map(len, queues))):
+    for _ in range(idx.size):
         r = run[0]
         accs = [(t := r + h) * t for h in heads[0]]
         for i in range(1, dim):
@@ -508,66 +501,6 @@ def _lane_loop(queues: list[list[int]], columns: list[list[list[float]]],
                 del heads[i][k]
             del taken[k], queues[k], columns[k]
     return out
-
-
-def _lane_loop_1(queues: list[list[int]], columns: list[list[list[float]]],
-                 run: list[float], limit2: float) -> list[int] | None:
-    """:func:`_lane_loop` unrolled for one coordinate."""
-    cols = [c[0] for c in columns]
-    heads = [c[0] for c in cols]
-    taken = [0] * len(queues)
-    r = run[0]
-    out: list[int] = []
-    for _ in range(sum(map(len, queues))):
-        accs = [(t := r + h) * t for h in heads]
-        best = min(accs)
-        if best > limit2:
-            return None
-        k = accs.index(best)
-        r += heads[k]
-        p = taken[k]
-        out.append(queues[k][p])
-        p += 1
-        if p < len(cols[k]):
-            taken[k] = p
-            heads[k] = cols[k][p]
-        else:
-            del heads[k], taken[k], queues[k], cols[k]
-    return out
-
-
-def _lane_loop_2(queues: list[list[int]], columns: list[list[list[float]]],
-                 run: list[float], limit2: float) -> list[int] | None:
-    """:func:`_lane_loop` unrolled for two coordinates."""
-    cols0 = [c[0] for c in columns]
-    cols1 = [c[1] for c in columns]
-    heads0 = [c[0] for c in cols0]
-    heads1 = [c[0] for c in cols1]
-    taken = [0] * len(queues)
-    r0, r1 = run[0], run[1]
-    out: list[int] = []
-    for _ in range(sum(map(len, queues))):
-        accs = [(t := r0 + a) * t + (u := r1 + b) * u
-                for a, b in zip(heads0, heads1)]
-        best = min(accs)
-        if best > limit2:
-            return None
-        k = accs.index(best)
-        r0 += heads0[k]
-        r1 += heads1[k]
-        p = taken[k]
-        out.append(queues[k][p])
-        p += 1
-        if p < len(cols0[k]):
-            taken[k] = p
-            heads0[k] = cols0[k][p]
-            heads1[k] = cols1[k][p]
-        else:
-            del heads0[k], heads1[k], taken[k], queues[k], cols0[k], cols1[k]
-    return out
-
-
-_LANE_LOOPS = {1: _lane_loop_1, 2: _lane_loop_2}
 
 
 def _select_scalar(spec: SeriesSpec, residual: float, used: set[int],
