@@ -58,18 +58,22 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
 
 
 def _read_vector_file(path: str) -> np.ndarray:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: vector file is not UTF-8 text") from exc
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                rows.append([float(x)
-                             for x in stripped.replace(",", " ").split()])
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: not a numeric row: "
-                                 f"{stripped!r}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            rows.append([float(x)
+                         for x in stripped.replace(",", " ").split()])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: not a numeric row: "
+                             f"{stripped!r}") from exc
     if not rows:
         raise InputError(f"{path}: no vectors found")
     width = len(rows[0])

@@ -13,12 +13,14 @@ The extension step adds one dimension per round: pick a reduced tolerance
 ``eta`` with certified room over the unused-term ceiling, pick a rational
 ``delta`` below ``1/n``, append every uncovered index below a cutoff
 chosen from the tail envelope, draw extra indices lane by lane to land
-the sums within ``delta``, and order the whole appended block so its
-running prefixes stay small.  The chase steers every target coordinate
-from the first round, not just the certified ones: once the small
-indices are spent, moving a coordinate by a fixed amount with harmonic
-tail terms costs exponentially many indices, so deferring a coordinate
-until its round would blow the budget.  Every claim is rechecked with
+the sums within ``delta``, and order each appended block by draining
+its residue lanes at equal rates (order_block_lanes), checked to keep
+its running sums in the old dimensions below ``0.98 * 2 * eps``.  The
+chase steers every target coordinate from the first round, not just the
+certified ones: once the small indices are spent, moving a coordinate
+by a fixed amount with harmonic tail terms costs exponentially many
+indices, so deferring a coordinate until its round would blow the
+budget.  Every claim is rechecked with
 measured quantities before the new condition is accepted; if a check
 fails, ``delta`` is halved and the attempt repeats.
 
@@ -36,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .confinement import ConstantSchedule, DEFAULT_SCHEDULE, order_with_threshold
+from .confinement import ConstantSchedule, DEFAULT_SCHEDULE
 from .errors import (BudgetExhaustedError, InfeasibleEtaError, InputError,
                      PreconditionError, SearchError)
 from .rearrange import (PrefixPlan, complementary_boosts, lane_modulus,
@@ -250,40 +252,10 @@ def _block_offset(fam: FamilyVector, injection: Sequence[int], start: int,
     return np.cumsum(vector_terms(fam, block, dim), axis=0)[-1]
 
 
-def _ordered_append(fam: FamilyVector, picks: list[int], dim_old: int,
-                    offset, threshold: float, relaxed: float,
-                    modulus: int | None) -> list[int] | None:
-    """Order a block so its running sums in the old dimensions stay small.
-
-    The residue-class pass handles blocks of any size; the quadratic
-    confinement search is a fallback for small blocks without lane
-    structure.  None means no ordering stayed under even the relaxed
-    threshold, which sends the caller back with a smaller tolerance.
-    """
-    if not picks:
-        return []
-    if modulus is not None:
-        for limit in (threshold, relaxed):
-            ordered = order_block_lanes(fam, picks, dim_old, limit,
-                                        offset=offset, modulus=modulus)
-            if ordered is not None:
-                return ordered
-    if len(picks) <= 4096:
-        vectors = vector_terms(fam, picks, dim_old)
-        try:
-            order = order_with_threshold(
-                vectors, relaxed, fix_first=False,
-                offset=np.asarray(offset, dtype=np.float64))
-            return [picks[i] for i in order]
-        except SearchError:
-            return None
-    return None
-
-
 def _attempt_extension(cond: Condition, n: int, fam: FamilyVector,
-                       targets: tuple[float, ...], eta: Fraction,
-                       delta: Fraction, schedule: ConstantSchedule,
-                       rng: random.Random, budget: int, full_dim: int,
+                       targets: tuple[float, ...], delta: Fraction,
+                       schedule: ConstantSchedule, rng: random.Random,
+                       budget: int, full_dim: int,
                        modulus: int | None
                        ) -> tuple[ExtendDetail | None, int]:
     d = cond.dim
@@ -310,11 +282,10 @@ def _attempt_extension(cond: Condition, n: int, fam: FamilyVector,
             f"extension block of {appended} indices exceeds the remaining "
             f"budget of {budget}",
             best=plan_from_injection(fam, cond.injection, targets[:d], d))
-    block_sum_old = partial_sum_vector(fam, block, d)
-    threshold = float(eta) + float(np.linalg.norm(block_sum_old)) + 1e-6
-    relaxed = float(2 * cond.eps) * 0.98
-    ordered = _ordered_append(fam, block, d, [0.0] * d, threshold, relaxed,
-                              modulus)
+    # the link's block-prefixes bullet needs every running sum below
+    # 2 * eps; the 2% margin keeps that certified comparison clear
+    limit = float(2 * cond.eps) * 0.98
+    ordered = order_block_lanes(fam, block, d, limit, modulus=modulus)
     if ordered is None:
         return None, appended
     injection = list(cond.injection) + ordered
@@ -342,8 +313,8 @@ def _attempt_extension(cond: Condition, n: int, fam: FamilyVector,
                 best=plan_from_injection(fam, injection, targets[:new_dim],
                                          new_dim))
         offset = _block_offset(fam, injection, len(cond.injection), d)
-        ordered = _ordered_append(fam, extra, d, offset, threshold, relaxed,
-                                  modulus)
+        ordered = order_block_lanes(fam, extra, d, limit, offset=offset,
+                                    modulus=modulus)
         if ordered is None:
             return None, appended
         injection.extend(ordered)
@@ -403,8 +374,8 @@ def extend_detail(cond: Condition, n: int, fam: FamilyVector, targets,
     rng = random.Random(seed)
     budget_left = budget
     for _ in range(_DELTA_RETRIES):
-        detail, spent = _attempt_extension(cond, n, fam, targets_t, eta,
-                                           delta, schedule, rng, budget_left,
+        detail, spent = _attempt_extension(cond, n, fam, targets_t, delta,
+                                           schedule, rng, budget_left,
                                            full_dim, modulus)
         budget_left -= spent
         if detail is not None:

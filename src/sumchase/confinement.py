@@ -94,6 +94,11 @@ def _as_matrix(vectors) -> np.ndarray:
     return vs
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
 def prefix_norms(vectors, order) -> np.ndarray:
     """Norms of the running sums of ``vectors`` taken in ``order``."""
     vs = _as_matrix(vectors)
@@ -216,8 +221,7 @@ def confine_zero_sum(vectors, tol: float = 1e-9,
     """
     vs = _as_matrix(vectors)
     n, d = vs.shape
-    if tol < 0.0:
-        raise InputError("tol must be nonnegative")
+    _check_tol(tol)
     norms = np.linalg.norm(vs, axis=1)
     worst = int(norms.argmax())
     if norms[worst] > 1.0 + tol:
@@ -250,8 +254,7 @@ def confine_with_anchor(vectors, b, rho: float, tol: float = 1e-9,
     rho = float(rho)
     if not (math.isfinite(rho) and rho > 0.0):
         raise InputError(f"rho must be positive, got {rho!r}")
-    if tol < 0.0:
-        raise InputError("tol must be nonnegative")
+    _check_tol(tol)
     anchor = np.asarray(b, dtype=np.float64).reshape(-1)
     if anchor.shape != (d,):
         raise InputError("anchor dimension mismatch")

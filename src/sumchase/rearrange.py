@@ -441,20 +441,24 @@ def complementary_boosts(fam: FamilyVector, dim: int, scale: float,
 def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
                       threshold: float, offset: Sequence[float] | None = None,
                       modulus: int | None = None) -> list[int] | None:
-    """Cheap balanced ordering for dyadic blocks.
+    """Balanced interleaving of residue lanes for dyadic blocks.
 
-    The sorted block is split into one queue per residue class mod
-    ``modulus``: queues in order of first appearance, each ascending, so
-    largest magnitudes first.  Every step appends the queue head that
-    keeps the running ``dim``-dimensional sum smallest in squared norm,
-    ``sum((run[i] + head[i]) ** 2)`` added in coordinate order; on equal
-    norms the earliest queue wins.  Only the heads live in the step loop,
-    as one flat list per coordinate (``heads[i][q]`` is coordinate ``i``
-    of queue ``q``'s head), so a step scores all heads in one list
-    comprehension and then updates the popped queue's entries alone.  The
-    pass is linear in the block size times the queue count, which is what
-    lets the certified chains order blocks of hundreds of thousands of
-    terms.  Returns None as soon as no head stays within ``threshold``.
+    The sorted block is grouped by residue class mod ``modulus``; each
+    lane keeps ascending index order, so largest magnitudes first.  A term
+    of norm ``t`` whose lane has norm total ``c`` up to and including it,
+    and ``C`` in all, gets the key ``(c - t/2) / C``, the midpoint of its
+    share of the lane's mass.  The block is taken in ascending key order;
+    equal keys keep ascending index order.  One ``np.cumsum`` then checks
+    every running ``dim``-dimensional sum, started at ``offset``, and the
+    result is None when any of their norms exceeds ``threshold``.
+
+    Every lane drains at the same rate, so each prefix is within half a
+    term per lane of ``offset + s * B``, where ``B`` is the block sum and
+    ``s`` the share taken.  When every lane's terms are parallel, as for
+    pure sign-pattern series with ``modulus`` a multiple of
+    ``lane_modulus(fam, dim)``, each prefix norm is therefore at most
+    ``max(||offset||, ||offset + B||)`` plus half the sum, over lanes, of
+    the lane's largest term norm.
     """
     if modulus is None:
         modulus = lane_modulus(fam, dim)
@@ -464,43 +468,22 @@ def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
     if not idx.size:
         return []
     rows = vector_terms(fam, idx, dim)
+    norms = np.linalg.norm(rows, axis=1)
     lanes = idx % modulus
     by_lane = np.argsort(lanes, kind="stable")
     cuts = np.flatnonzero(np.diff(lanes[by_lane])) + 1
-    # each group lists one lane's positions in ascending order
-    groups = sorted(np.split(by_lane, cuts), key=lambda g: int(g[0]))
-    queues = [idx[g].tolist() for g in groups]
-    columns = [rows[g].T.tolist() for g in groups]
-    run = [float(x) for x in offset] if offset is not None else [0.0] * dim
-    limit2 = threshold * threshold
-    # columns[q][i][p] is coordinate i of queue q's p-th term
-    heads = [[cols[i][0] for cols in columns] for i in range(dim)]
-    taken = [0] * len(queues)
-    out: list[int] = []
-    for _ in range(idx.size):
-        r = run[0]
-        accs = [(t := r + h) * t for h in heads[0]]
-        for i in range(1, dim):
-            r = run[i]
-            accs = [acc + (t := r + h) * t for acc, h in zip(accs, heads[i])]
-        best = min(accs)
-        if best > limit2:
-            return None
-        k = accs.index(best)
-        for i in range(dim):
-            run[i] += heads[i][k]
-        p = taken[k]
-        out.append(queues[k][p])
-        p += 1
-        if p < len(queues[k]):
-            taken[k] = p
-            for i in range(dim):
-                heads[i][k] = columns[k][i][p]
-        else:
-            for i in range(dim):
-                del heads[i][k]
-            del taken[k], queues[k], columns[k]
-    return out
+    key = np.empty(idx.size)
+    for group in np.split(by_lane, cuts):
+        t = norms[group]
+        c = np.cumsum(t)
+        key[group] = (c - t / 2) / c[-1]
+    order = np.argsort(key, kind="stable")
+    sums = np.cumsum(rows[order], axis=0)
+    if offset is not None:
+        sums += np.asarray(offset, dtype=np.float64)
+    if np.linalg.norm(sums, axis=1).max() > threshold:
+        return None
+    return idx[order].tolist()
 
 
 def _select_scalar(spec: SeriesSpec, residual: float, used: set[int],

@@ -56,6 +56,10 @@ def test_confine_rejects_garbage_rows(tmp_path, capsys):
     bad.write_text("1.0 2.0\npotato\n")
     assert main(["confine", str(bad)]) == 2
     assert "numeric" in capsys.readouterr().err
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"1.0 2.0\n\xe9\xff 1.0\n")
+    assert main(["confine", str(latin)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_rearrange_single_target_with_trace(tmp_path, capsys):

@@ -9,6 +9,7 @@ from sumchase import (Condition, InputError, PreconditionError, certified_le,
                       certified_lt, extend, extend_detail, family,
                       initial_condition, is_condition, leq,
                       rademacher_harmonic, run)
+from sumchase import conditions
 from sumchase.conditions import TAIL_CUTOFF_SPAN
 from sumchase.series import partial_sum_vector, tail_sup_bound, vector_terms
 
@@ -141,6 +142,24 @@ def test_single_extension_covers_and_tightens():
     assert detail.link.ok
     assert detail.check.ok
     assert detail.appended == len(new.injection)
+
+
+def test_a_failed_ordering_halves_delta_and_retries(monkeypatch):
+    base = initial_condition(PAIR, TARGETS)
+    plain = extend_detail(base, 2, PAIR, TARGETS, seed=7, budget=10 ** 6)
+    real = conditions.order_block_lanes
+    calls = []
+
+    def fail_once(*args, **kwargs):
+        calls.append(args)
+        return None if len(calls) == 1 else real(*args, **kwargs)
+
+    monkeypatch.setattr(conditions, "order_block_lanes", fail_once)
+    detail = extend_detail(base, 2, PAIR, TARGETS, seed=7, budget=10 ** 6)
+    assert len(calls) >= 2
+    assert detail.check.ok
+    assert detail.link.ok
+    assert detail.condition.eps == plain.condition.eps / 2
 
 
 def test_extension_is_deterministic():

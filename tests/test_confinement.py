@@ -1,4 +1,6 @@
 """Prefix-norm confinement: schedules, orderings, and the oracle."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,12 @@ def test_zero_sum_preconditions_are_enforced():
         confine_zero_sum(np.array([[2.0], [-2.0]]))  # norms above one
     with pytest.raises(InputError):
         confine_zero_sum(np.array([[0.5], [0.1]]))  # sum not zero
+    for tol in (math.nan, math.inf, -1e-9):
+        with pytest.raises(InputError, match="tol"):
+            confine_zero_sum(np.array([[0.5], [-0.5]]), tol=tol)
+        with pytest.raises(InputError, match="tol"):
+            confine_with_anchor(np.array([[0.5], [0.25]]), [0.75], 1.0,
+                                tol=tol)
 
 
 def test_confinement_beats_bound_on_seeded_batch():

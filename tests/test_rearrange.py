@@ -1,7 +1,6 @@
 """Target chasing for single series and independent families."""
 import math
 import random
-from collections import deque
 
 import numpy as np
 import pytest
@@ -169,52 +168,18 @@ def test_block_selection_approximates_the_residual():
     assert np.linalg.norm(got - residual, ord=np.inf) < 0.05
 
 
-def _reference_order_block_lanes(fam, indices, dim, threshold, offset=None,
-                                 modulus=None):
-    """The per-row lane orderer the flat head lists replaced."""
-    if modulus is None:
-        modulus = lane_modulus(fam, dim)
-    idx = sorted(int(i) for i in indices)
-    if not idx:
-        return []
-    rows = vector_terms(fam, idx, dim).tolist()
-    queues = {}
-    for pos, m in enumerate(idx):
-        queues.setdefault(m % modulus, deque()).append(pos)
-    run = [float(x) for x in offset] if offset is not None else [0.0] * dim
-    limit2 = threshold * threshold
-    out = []
-    for _ in range(len(idx)):
-        best_key = -1
-        best_norm2 = math.inf
-        for key, queue in queues.items():
-            row = rows[queue[0]]
-            acc = 0.0
-            for i in range(dim):
-                t = run[i] + row[i]
-                acc += t * t
-            if acc < best_norm2:
-                best_norm2 = acc
-                best_key = key
-        if best_norm2 > limit2:
-            return None
-        queue = queues[best_key]
-        pos = queue.popleft()
-        if not queue:
-            del queues[best_key]
-        row = rows[pos]
-        for i in range(dim):
-            run[i] += row[i]
-        out.append(idx[pos])
-    return out
-
-
-def test_lane_ordering_matches_the_per_row_reference():
+def test_lane_ordering_contract():
+    """The lane merge returns a deterministic permutation of the block,
+    None exactly when its running sums break ``threshold``, and, when
+    ``modulus`` is a multiple of the family's lane modulus, every prefix
+    norm at most ``max(||offset||, ||offset + B||)`` plus half the sum,
+    over residue lanes, of the lane's largest term norm (``B`` is the
+    block sum)."""
     rng = random.Random(20)
-    # exponent 1e-18 makes every term +-1.0, so heads of different queues
-    # have equal magnitudes and the first-queue tie rule decides
+    # exponent 1e-18 makes every term +-1.0, so keys of different lanes
+    # tie and the tie order decides
     exponents = (1.0, 0.5, 1e-18)
-    outcomes = {"list": 0, "none": 0}
+    outcomes = {"list": 0, "none": 0, "bounded": 0}
     for case in range(240):
         exponent = exponents[case % 3]
         fam = family(*(rademacher_harmonic(level, exponent)
@@ -230,12 +195,37 @@ def test_lane_ordering_matches_the_per_row_reference():
         if rng.random() < 0.6:
             threshold = rng.uniform(0.3, 3.0) * (2.0 if exponent < 1e-9
                                                  else 1.0)
-        want = _reference_order_block_lanes(fam, block, dim, threshold,
-                                            offset=offset, modulus=modulus)
+        where = (case, dim, modulus, exponent, threshold)
         got = order_block_lanes(fam, block, dim, threshold, offset=offset,
                                 modulus=modulus)
-        assert got == want, (case, dim, modulus, exponent, threshold)
-        outcomes["none" if want is None else "list"] += 1
+        assert got == order_block_lanes(fam, block, dim, threshold,
+                                        offset=offset, modulus=modulus)
+        # the order does not depend on the limit, so the unlimited call
+        # shows which running sums the limited one checked
+        merged = order_block_lanes(fam, block, dim, math.inf, offset=offset,
+                                   modulus=modulus)
+        assert sorted(merged) == sorted(block), where
+        start = np.zeros(dim) if offset is None else np.asarray(offset)
+        rows = vector_terms(fam, merged, dim).reshape(-1, dim)
+        norms = np.linalg.norm(start + np.cumsum(rows, axis=0), axis=1)
+        top = float(norms.max()) if norms.size else 0.0
+        if top > threshold:
+            assert got is None, where
+            outcomes["none"] += 1
+        else:
+            assert got == merged, where
+            outcomes["list"] += 1
+        lanes = modulus or lane_modulus(fam, dim)
+        if block and lanes % lane_modulus(fam, dim) == 0:
+            largest = {}
+            for m, t in zip(merged, np.linalg.norm(rows, axis=1)):
+                lane = m % lanes
+                largest[lane] = max(largest.get(lane, 0.0), float(t))
+            total = rows.sum(axis=0)
+            bound = (max(np.linalg.norm(start), np.linalg.norm(start + total))
+                     + 0.5 * sum(largest.values()))
+            assert top <= bound + 1e-12, where
+            outcomes["bounded"] += 1
     assert min(outcomes.values()) >= 40, outcomes
 
 
