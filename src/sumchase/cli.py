@@ -10,7 +10,8 @@ Exit codes: 0 on success, 1 when a verification or structure check
 fails, 2 on bad input, 3 when a search runs out of budget.  The
 environment variable ``RL_CONSTANT_SCHEDULE`` (comma-separated values,
 one per dimension starting at 1) overrides the confinement constants
-everywhere.
+for ``confine``, ``extend-run`` and ``verify``; ``rearrange`` and
+``analyze`` do not use them.
 """
 from __future__ import annotations
 
@@ -119,6 +120,7 @@ def _cmd_confine(args, schedule) -> int:
 
 
 def _cmd_rearrange(args, schedule) -> int:
+    del schedule  # the chasers order blocks without confinement constants
     fam = _single_family(args.spec)
     targets = _parse_floats(args.targets, "--targets")
     if len(targets) == 1:
@@ -131,7 +133,7 @@ def _cmd_rearrange(args, schedule) -> int:
                                  budget=args.budget)
     else:
         plan = chase_target(fam, None, targets, args.eps, seed=args.seed,
-                            budget=args.budget, schedule=schedule)
+                            budget=args.budget)
     dim = len(targets)
     if args.trace:
         write_trace(args.trace, trace_rows(fam, plan.injection, dim))
@@ -144,7 +146,7 @@ def _cmd_extend_run(args, schedule) -> int:
     fam = _single_family(args.spec)
     targets = _parse_floats(args.targets, "--targets")
     chain, plan = run_chain(fam, targets, args.rounds, seed=args.seed,
-                            budget=args.budget, schedule=schedule)
+                            budget=args.budget)
     schedule_values = schedule.values if schedule is not None else ()
     write_certificate(args.cert, chain, targets, schedule_values)
     if args.trace:

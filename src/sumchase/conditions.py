@@ -34,7 +34,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -244,14 +243,6 @@ def _smallest_cover_cutoff(fam: FamilyVector, dim: int, bound: float,
     return max(lo, floor)
 
 
-def _block_offset(fam: FamilyVector, injection: Sequence[int], start: int,
-                  dim: int) -> np.ndarray:
-    block = list(injection[start:])
-    if not block:
-        return np.zeros(dim)
-    return np.cumsum(vector_terms(fam, block, dim), axis=0)[-1]
-
-
 def _attempt_extension(cond: Condition, n: int, fam: FamilyVector,
                        targets: tuple[float, ...], delta: Fraction,
                        schedule: ConstantSchedule, rng: random.Random,
@@ -312,7 +303,7 @@ def _attempt_extension(cond: Condition, n: int, fam: FamilyVector,
                 "top-up blocks exceeded the remaining budget",
                 best=plan_from_injection(fam, injection, targets[:new_dim],
                                          new_dim))
-        offset = _block_offset(fam, injection, len(cond.injection), d)
+        offset = partial_sum_vector(fam, injection[len(cond.injection):], d)
         ordered = order_block_lanes(fam, extra, d, limit, offset=offset,
                                     modulus=modulus)
         if ordered is None:
@@ -436,6 +427,8 @@ def run(fam: FamilyVector, targets, rounds: int, seed: int = 0,
     targets_t = _targets_tuple(targets)
     if rounds < 0:
         raise InputError("rounds must be nonnegative")
+    if budget < 0:
+        raise InputError(f"budget must be nonnegative, got {budget!r}")
     if len(fam) < rounds + 1 or len(targets_t) < rounds + 1:
         raise InputError(
             f"{rounds} rounds need {rounds + 1} series and targets")

@@ -28,7 +28,7 @@ from .errors import InputError, PreconditionError, SearchError, SizeLimitError
 #: larger ones use the plain greedy descent (identical choices, no undo).
 _BACKTRACK_LIMIT = 512
 
-#: Default cap on candidate expansions inside the backtracking search.
+#: Cap on candidate expansions inside the backtracking search.
 _NODE_CAP = 250_000
 
 BRUTE_FORCE_LIMIT = 10
@@ -184,32 +184,25 @@ def _backtracking_order(vs: np.ndarray, threshold: float, order: list[int],
     raise SearchError("no ordering satisfies the requested prefix bound")
 
 
-def order_with_threshold(vectors, threshold: float, fix_first: bool = True,
-                         offset=None, node_cap: int = _NODE_CAP) -> list[int]:
-    """Order all vectors so every running prefix (plus ``offset``) has norm
-    at most ``threshold``.
+def order_with_threshold(vectors, threshold: float) -> list[int]:
+    """Order all vectors, keeping position 0 first, so every running prefix
+    has norm at most ``threshold``.
 
     Greedy choice with full backtracking for small inputs; pure greedy for
     large ones.  Raises SearchError when no ordering within the bound is
     found.
     """
     vs = _as_matrix(vectors)
-    n, d = vs.shape
-    prefix = (np.zeros(d) if offset is None
-              else np.asarray(offset, dtype=np.float64).copy())
-    if prefix.shape != (d,):
-        raise InputError("offset dimension mismatch")
-    order: list[int] = []
+    n = vs.shape[0]
+    prefix = vs[0].copy()
+    if np.linalg.norm(prefix) > threshold:
+        raise SearchError("the fixed first vector already exceeds the bound")
+    order = [0]
     used = np.zeros(n, dtype=bool)
-    if fix_first:
-        prefix = prefix + vs[0]
-        if np.linalg.norm(prefix) > threshold:
-            raise SearchError("the fixed first vector already exceeds the bound")
-        order.append(0)
-        used[0] = True
+    used[0] = True
     if n > _BACKTRACK_LIMIT:
         return _greedy_descent(vs, threshold, order, prefix, used)
-    return _backtracking_order(vs, threshold, order, prefix, used, node_cap)
+    return _backtracking_order(vs, threshold, order, prefix, used, _NODE_CAP)
 
 
 def confine_zero_sum(vectors, tol: float = 1e-9,
@@ -232,7 +225,7 @@ def confine_zero_sum(vectors, tol: float = 1e-9,
         raise PreconditionError(
             f"vectors sum to a vector of norm {resid!r}, above tol={tol!r}")
     bound = published_constant(d, schedule) + tol
-    order = order_with_threshold(vs, bound, fix_first=True)
+    order = order_with_threshold(vs, bound)
     reached = float(prefix_norms(vs, order).max())
     if reached > bound:
         raise SearchError("ordering exceeded its own bound; this is a bug")

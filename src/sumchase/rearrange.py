@@ -15,11 +15,12 @@ running sum by some vector means assigning each lane a nonnegative mass
 whose signed combination equals that vector.  The assignment spreads
 each coordinate move over antipodal lane pairs (see _lane_masses) so no
 lane is mined exponentially deep.  Indices are drawn from each lane by a
-take-if-fits scan, the chosen block is ordered by the confinement search
-so intermediate sums stay controlled, and the round repeats on whatever
-residual is left.  Randomized restarts perturb the lane masses in
-complementary pairs (which leaves the block sum unchanged) when a round
-stalls.
+take-if-fits scan, the chosen block is ordered by draining its residue
+lanes at equal rates (order_block_lanes), so every running sum stays
+within half a term per lane of the segment from the old sum to the new
+one, and the round repeats on whatever residual is left.  Randomized
+restarts perturb the lane masses in complementary pairs (which leaves
+the block sum unchanged) when a round stalls.
 
 Every plan stores only its injection plus statistics that can be
 recomputed from scratch; verify_prefix does exactly that.
@@ -33,8 +34,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .confinement import (ConstantSchedule, confine_with_anchor,
-                          order_with_threshold)
 from .errors import (BudgetExhaustedError, InputError, PreconditionError,
                      StructureError)
 from .series import (FamilyVector, SeriesSpec, is_conditionally_convergent,
@@ -152,19 +151,26 @@ class _SignScanner:
             m += 1
 
 
+def _check_eps_budget(eps: float, budget: int) -> None:
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise InputError(f"eps must be finite and positive, got {eps!r}")
+    if budget < 0:
+        raise InputError(f"budget must be nonnegative, got {budget!r}")
+
+
 def riemann_rearrange(spec: SeriesSpec, target: float, eps: float,
                       budget: int = 10 ** 6) -> PrefixPlan:
     """Greedy single-series rearrangement to within ``eps`` of ``target``.
 
-    May return an empty plan when the target is already within ``eps`` of
+    ``eps`` must be finite and positive and ``budget`` nonnegative.  May
+    return an empty plan when the target is already within ``eps`` of
     zero.  Raises BudgetExhaustedError (carrying the best plan found) if
     the budget runs out first.
     """
     if not is_conditionally_convergent(spec):
         raise PreconditionError(
             "rearrangement needs a conditionally convergent series")
-    if not eps > 0.0:
-        raise InputError(f"eps must be positive, got {eps!r}")
+    _check_eps_budget(eps, budget)
     target = float(target)
     if not math.isfinite(target):
         raise InputError("target must be finite")
@@ -441,16 +447,19 @@ def complementary_boosts(fam: FamilyVector, dim: int, scale: float,
 def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
                       threshold: float, offset: Sequence[float] | None = None,
                       modulus: int | None = None) -> list[int] | None:
-    """Balanced interleaving of residue lanes for dyadic blocks.
+    """Balanced interleaving of residue lanes; the engine's block orderer.
 
-    The sorted block is grouped by residue class mod ``modulus``; each
-    lane keeps ascending index order, so largest magnitudes first.  A term
-    of norm ``t`` whose lane has norm total ``c`` up to and including it,
-    and ``C`` in all, gets the key ``(c - t/2) / C``, the midpoint of its
-    share of the lane's mass.  The block is taken in ascending key order;
-    equal keys keep ascending index order.  One ``np.cumsum`` then checks
-    every running ``dim``-dimensional sum, started at ``offset``, and the
-    result is None when any of their norms exceeds ``threshold``.
+    The sorted block is grouped by residue class mod ``modulus`` (by
+    default ``lane_modulus(fam, dim)``, or 1 when the leading series do
+    not form a dyadic family); each lane keeps ascending index order, so
+    largest magnitudes first.  A term of norm ``t`` whose lane has norm
+    total ``c`` up to and including it, and ``C`` in all, gets the key
+    ``(c - t/2) / C``, the midpoint of its share of the lane's mass.  The
+    block is taken in ascending key order; equal keys keep ascending
+    index order, so a single lane comes out in ascending order.  One
+    ``np.cumsum`` then checks every running ``dim``-dimensional sum,
+    started at ``offset``, and the result is None when any of their norms
+    exceeds ``threshold``.
 
     Every lane drains at the same rate, so each prefix is within half a
     term per lane of ``offset + s * B``, where ``B`` is the block sum and
@@ -461,9 +470,7 @@ def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
     the lane's largest term norm.
     """
     if modulus is None:
-        modulus = lane_modulus(fam, dim)
-        if modulus is None:
-            raise StructureError("lane ordering needs a dyadic family")
+        modulus = lane_modulus(fam, dim) or 1
     idx = np.sort(np.asarray(indices, dtype=np.int64))
     if not idx.size:
         return []
@@ -504,32 +511,26 @@ def _select_scalar(spec: SeriesSpec, residual: float, used: set[int],
     return picks
 
 
-def order_block(fam: FamilyVector, indices: Sequence[int], dim: int,
-                schedule: ConstantSchedule | None = None) -> list[int]:
-    """Order a block of indices with the anchored confinement search so its
-    internal prefix sums stay within ``rho * C_d + ||b||``."""
-    if len(indices) <= 1:
-        return list(indices)
-    vectors = vector_terms(fam, indices, dim)
-    block_sum = vectors.sum(axis=0)
-    rho = max(float(np.linalg.norm(vectors, axis=1).max()),
-              float(np.linalg.norm(block_sum)), 1e-12)
-    result = confine_with_anchor(vectors, block_sum, rho, schedule=schedule)
-    return [int(indices[i]) for i in result.permutation]
+def order_block(fam: FamilyVector, indices: Sequence[int],
+                dim: int) -> list[int]:
+    """Order a block for appending: order_block_lanes with its default
+    lanes and no limit, so running sums stay near the segment from the
+    old sum to the new one."""
+    return order_block_lanes(fam, indices, dim, math.inf)
 
 
 def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
                  eps: float, seed: int = 0, budget: int = 10 ** 6,
-                 schedule: ConstantSchedule | None = None,
                  dim: int | None = None,
                  max_rounds: int = _DEFAULT_MAX_ROUNDS) -> PrefixPlan:
     """Extend ``base`` until the d-dimensional partial sum is within ``eps``
     of ``target``.
 
-    Rounds of select-order-append, with lane-mass jitter on stalls.  The
-    result always has ``base.injection`` as a prefix.  Raises
-    BudgetExhaustedError carrying the best plan when the budget or round
-    limit runs out.
+    Rounds of select-order-append, with lane-mass jitter on stalls; each
+    block is ordered by order_block.  ``eps`` must be finite and positive
+    and ``budget`` nonnegative.  The result always has ``base.injection``
+    as a prefix.  Raises BudgetExhaustedError carrying the best plan when
+    the budget or round limit runs out.
     """
     tv = _as_target(target)
     dim = len(tv) if dim is None else dim
@@ -537,8 +538,7 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
         raise InputError(f"active dimension {dim} outside the family")
     if len(tv) < dim:
         raise InputError("target shorter than the active dimension")
-    if not eps > 0.0:
-        raise InputError(f"eps must be positive, got {eps!r}")
+    _check_eps_budget(eps, budget)
     injection = list(base.injection) if base is not None else []
     used = set(injection)
     if base is not None and len(used) != len(injection):
@@ -577,7 +577,7 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
                 raise BudgetExhaustedError(
                     f"block selection exceeded the budget of {budget} terms",
                     best=best)
-            injection.extend(order_block(fam, picks, dim, schedule))
+            injection.extend(order_block(fam, picks, dim))
         stalled = not picks or dev > prev_dev * 0.9
         if stalled and lanes_ok:
             boosts = complementary_boosts(fam, dim, max(dev, eps) * 0.5, rng)
@@ -588,14 +588,13 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
 
 
 def cover_indices(fam: FamilyVector, plan: PrefixPlan, n: int, target,
-                  dim: int | None = None,
-                  schedule: ConstantSchedule | None = None) -> PrefixPlan:
+                  dim: int | None = None) -> PrefixPlan:
     """Extend the plan so every index below ``n`` appears in its range.
 
-    The appended indices are ordered greedily against the current running
-    sum to limit excursion growth.  The deviation of the result is
-    whatever the covering forces it to be; chase the target again
-    afterwards if it matters.
+    The missing indices are appended in order_block's order, so the
+    running sums stay near the segment from the plan's sum to the covered
+    sum.  The deviation of the result is whatever the covering forces it
+    to be; chase the target again afterwards if it matters.
     """
     tv = _as_target(target)
     dim = len(tv) if dim is None else dim
@@ -604,11 +603,7 @@ def cover_indices(fam: FamilyVector, plan: PrefixPlan, n: int, target,
     missing = [m for m in range(n) if m not in plan.used_set]
     if not missing:
         return plan
-    vectors = vector_terms(fam, missing, dim)
-    offset = partial_sum_vector(fam, plan.injection, dim)
-    order = order_with_threshold(vectors, math.inf, fix_first=False,
-                                 offset=offset)
-    injection = list(plan.injection) + [missing[i] for i in order]
+    injection = list(plan.injection) + order_block(fam, missing, dim)
     return plan_from_injection(fam, injection, tv, dim)
 
 

@@ -97,6 +97,25 @@ def test_rearrange_budget_exhaustion_exits_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rearrange", "--targets", "0.25", "--eps", "0.01", "--budget", "-5"],
+    ["rearrange", "--targets", "0.1,0.2", "--eps", "0.01", "--budget", "-5"],
+    ["rearrange", "--targets", "0.25", "--eps", "inf"],
+    ["rearrange", "--targets", "0.1,0.2", "--eps", "inf"],
+    ["extend-run", "--targets", "0.1,-0.2", "--rounds", "1",
+     "--budget", "-5", "--cert", "{tmp}/chain.cert"],
+], ids=["riemann-budget", "chase-budget", "riemann-eps", "chase-eps",
+        "extend-run-budget"])
+def test_bad_budget_or_eps_is_an_input_error(argv, tmp_path, capsys):
+    spec = write_family_file(tmp_path / "pair.json", [RAD_PAIR_ENTRIES])
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--spec", spec]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_rearrange_same_seed_reproduces_trace_bytes(tmp_path):
     spec = write_family_file(tmp_path / "pair.json", [RAD_PAIR_ENTRIES])
     traces = []

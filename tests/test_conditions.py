@@ -162,6 +162,41 @@ def test_a_failed_ordering_halves_delta_and_retries(monkeypatch):
     assert detail.condition.eps == plain.condition.eps / 2
 
 
+def test_top_up_blocks_start_from_the_appended_sum(monkeypatch):
+    """When the first block lands short, the top-up rounds chase the rest
+    and order each extra block from the running sum the earlier blocks
+    left in the old dimensions."""
+    real_select = conditions.select_block_indices
+    real_order = conditions.order_block_lanes
+    selects, orders = [], []
+
+    def half_first(fam, dim, residual, *args, **kwargs):
+        if not selects:
+            residual = residual / 2
+        selects.append(residual)
+        return real_select(fam, dim, residual, *args, **kwargs)
+
+    def record(fam, indices, dim, threshold, **kwargs):
+        ordered = real_order(fam, indices, dim, threshold, **kwargs)
+        orders.append((ordered, kwargs.get("offset")))
+        return ordered
+
+    monkeypatch.setattr(conditions, "select_block_indices", half_first)
+    monkeypatch.setattr(conditions, "order_block_lanes", record)
+    base = initial_condition(PAIR, TARGETS)
+    detail = extend_detail(base, 2, PAIR, TARGETS, seed=7, budget=10 ** 6)
+    assert detail.check.ok
+    assert detail.link.ok
+    assert len(orders) >= 2
+    assert orders[0][1] is None
+    appended = list(orders[0][0])
+    for ordered, offset in orders[1:]:
+        expected = vector_terms(PAIR, appended, base.dim).sum(axis=0)
+        np.testing.assert_allclose(offset, expected, rtol=0, atol=1e-12)
+        appended += ordered
+    assert detail.condition.injection == tuple(appended)
+
+
 def test_extension_is_deterministic():
     base = initial_condition(PAIR, TARGETS)
     one = extend(base, 2, PAIR, TARGETS, seed=12, budget=10 ** 6)

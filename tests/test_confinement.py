@@ -127,14 +127,6 @@ def test_order_with_threshold_reports_impossible_bounds():
         order_with_threshold(vs, 0.5)
 
 
-def test_order_with_threshold_respects_offset():
-    vs = np.array([[0.5], [-0.5]])
-    order = order_with_threshold(vs, 0.6, fix_first=False,
-                                 offset=np.array([0.4]))
-    # starting at +0.4, the negative step must come first
-    assert order[0] == 1
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6),
        st.integers(min_value=2, max_value=8),

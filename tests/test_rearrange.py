@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumchase import (BudgetExhaustedError, InputError, PreconditionError,
-                      PrefixPlan, abs_power, chase_target, cover_indices,
-                      family, partial_sum, plan_from_injection,
+                      PrefixPlan, abs_power, chase_target, composite,
+                      cover_indices, family, partial_sum, plan_from_injection,
                       power_alternating, rademacher_harmonic, riemann_rearrange,
                       term, verify_prefix)
+from sumchase import rearrange
 from sumchase.errors import StructureError
 from sumchase.rearrange import (lane_modulus, order_block_lanes,
                                 select_block_indices)
@@ -132,6 +133,47 @@ def test_cover_on_the_empty_plan_lists_an_initial_segment():
     empty = plan_from_injection(fam, (), 0.0)
     covered = cover_indices(fam, empty, 3, 0.0)
     assert set(covered.injection) == {0, 1, 2}
+
+
+def test_cover_without_sign_lanes_appends_the_missing_indices_in_order():
+    alt = power_alternating(1.0)
+    fam = family(alt, composite([(2.0, alt)]))
+    assert lane_modulus(fam, 2) is None
+    base = plan_from_injection(fam, (5, 2, 9), (0.1, 0.2))
+    covered = cover_indices(fam, base, 12, (0.1, 0.2))
+    assert covered.injection == (5, 2, 9, 0, 1, 3, 4, 6, 7, 8, 10, 11)
+    block = [7, 3, 11, 0, 8]
+    assert order_block_lanes(fam, block, 2, math.inf) == [0, 3, 7, 8, 11]
+
+
+def _chase_outcomes(monkeypatch, reverse):
+    if reverse:
+        monkeypatch.setattr(rearrange, "order_block",
+                            lambda fam, indices, dim: sorted(indices,
+                                                             reverse=True))
+    pair = family(rademacher_harmonic(0), rademacher_harmonic(1))
+    triple = family(*(rademacher_harmonic(level) for level in range(3)))
+    plans = []
+    for seed in (1, 5, 9):
+        plans.append(chase_target(pair, None, (0.2, -0.3), 0.005, seed=seed))
+        plans.append(chase_target(triple, None, (0.1, -0.2, 0.3), 0.01,
+                                  seed=seed))
+        plan = chase_target(pair, None, (0.15, 0.3), 5e-3, seed=seed)
+        plan = cover_indices(pair, plan, 300, (0.15, 0.3))
+        plans.append(chase_target(pair, plan, (0.15, 0.3), 5e-3, seed=seed))
+    monkeypatch.undo()
+    return plans
+
+
+def test_block_order_never_steers_the_chase(monkeypatch):
+    """Block sums are exact and the used set is a set, so the chasers pick
+    the same indices whatever order the blocks are appended in."""
+    reversed_plans = _chase_outcomes(monkeypatch, reverse=True)
+    plans = _chase_outcomes(monkeypatch, reverse=False)
+    assert ([p.injection for p in reversed_plans]
+            != [p.injection for p in plans])
+    assert ([(sorted(p.injection), p.deviation) for p in reversed_plans]
+            == [(sorted(p.injection), p.deviation) for p in plans])
 
 
 def test_verify_prefix_recomputes_the_deviation():
