@@ -146,7 +146,7 @@ def _cmd_extend_run(args, schedule) -> int:
     fam = _single_family(args.spec)
     targets = _parse_floats(args.targets, "--targets")
     chain, plan = run_chain(fam, targets, args.rounds, seed=args.seed,
-                            budget=args.budget)
+                            budget=args.budget, schedule=schedule)
     schedule_values = schedule.values if schedule is not None else ()
     write_certificate(args.cert, chain, targets, schedule_values)
     if args.trace:

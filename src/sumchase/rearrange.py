@@ -591,10 +591,12 @@ def cover_indices(fam: FamilyVector, plan: PrefixPlan, n: int, target,
                   dim: int | None = None) -> PrefixPlan:
     """Extend the plan so every index below ``n`` appears in its range.
 
-    The missing indices are appended in order_block's order, so the
-    running sums stay near the segment from the plan's sum to the covered
-    sum.  The deviation of the result is whatever the covering forces it
-    to be; chase the target again afterwards if it matters.
+    The missing indices are appended in order_block's order.  For
+    sign-pattern families this keeps the running sums within
+    order_block_lanes' bound of the segment from the plan's sum to the
+    covered sum; other families get one lane, ascending index order, and
+    no such bound.  The deviation of the result is whatever the covering
+    forces it to be; chase the target again afterwards if it matters.
     """
     tv = _as_target(target)
     dim = len(tv) if dim is None else dim

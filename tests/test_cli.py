@@ -228,6 +228,18 @@ def test_schedule_env_overrides_the_constants(vectors_file, tmp_path, capsys,
     assert "bound=9.0" in capsys.readouterr().err
 
 
+def test_schedule_env_reaches_extend_run_and_verify(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setenv("RL_CONSTANT_SCHEDULE", "9.0,9.0")
+    spec = write_family_file(tmp_path / "pair.json", [RAD_PAIR_ENTRIES])
+    cert = tmp_path / "chain.cert"
+    assert main(["extend-run", "--spec", spec, "--targets", "0.1,-0.2",
+                 "--rounds", "1", "--seed", "3", "--cert", str(cert)]) == 0
+    assert "rounds=1" in capsys.readouterr().out
+    assert main(["verify", "--cert", str(cert), "--spec", spec]) == 0
+    assert "certificate ok" in capsys.readouterr().out
+
+
 def test_invalid_schedule_env_is_an_input_error(vectors_file, capsys,
                                                 monkeypatch):
     monkeypatch.setenv("RL_CONSTANT_SCHEDULE", "fast,loose")
