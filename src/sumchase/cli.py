@@ -4,7 +4,8 @@ Subcommands: ``confine`` orders a vector list so running sums stay small,
 ``rearrange`` builds an index order steering partial sums to targets,
 ``extend-run`` drives the full certified chain and writes a certificate,
 ``analyze`` reports the structure of a family, and ``verify`` rechecks a
-certificate from scratch.
+certificate from scratch.  Only ``rearrange`` takes ``--seed``, for the
+chase's random stall escapes; ``extend-run`` draws no random numbers.
 
 Exit codes: 0 on success, 1 when a verification or structure check
 fails, 2 on bad input, 3 when a search runs out of budget.  The
@@ -145,8 +146,8 @@ def _cmd_rearrange(args, schedule) -> int:
 def _cmd_extend_run(args, schedule) -> int:
     fam = _single_family(args.spec)
     targets = _parse_floats(args.targets, "--targets")
-    chain, plan = run_chain(fam, targets, args.rounds, seed=args.seed,
-                            budget=args.budget, schedule=schedule)
+    chain, plan = run_chain(fam, targets, args.rounds, budget=args.budget,
+                            schedule=schedule)
     schedule_values = schedule.values if schedule is not None else ()
     write_certificate(args.cert, chain, targets, schedule_values)
     if args.trace:
@@ -248,7 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--targets", required=True)
     p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=10 ** 7)
     p.add_argument("--cert", required=True, help="certificate output path")
     p.add_argument("--trace", help="write the annotated step trace here")

@@ -9,20 +9,21 @@ least as many dimensions, keeps every appended block prefix (measured in
 the older dimensions) under ``2 * eps``, and shrinks the tolerance fast
 enough that ``2 * delta + ||block sum|| <= 2 * eps``.
 
-The extension step adds one dimension per round: pick a reduced tolerance
-``eta`` with certified room over the unused-term ceiling, pick a rational
-``delta`` below ``1/n``, append every uncovered index below a cutoff
-chosen from the tail envelope, draw extra indices lane by lane to land
-the sums within ``delta``, and order each appended block by draining
-its residue lanes at equal rates (order_block_lanes), checked to keep
-its running sums in the old dimensions below ``0.98 * 2 * eps``.  The
-chase steers every target coordinate from the first round, not just the
-certified ones: once the small indices are spent, moving a coordinate
-by a fixed amount with harmonic tail terms costs exponentially many
-indices, so deferring a coordinate until its round would blow the
-budget.  Every claim is rechecked with
-measured quantities before the new condition is accepted; if a check
-fails, ``delta`` is halved and the attempt repeats.
+The extension step adds one dimension per round by appending one block:
+pick a reduced tolerance ``eta`` with certified room over the unused-term
+ceiling, pick a rational ``delta`` below ``1/n``, take every uncovered
+index below a cutoff chosen from the tail envelope, and add indices drawn
+lane by lane whose sum lands within ``delta / 4`` of the targets
+(select_block_indices states the bound).  The block is ordered by
+draining its residue lanes at equal rates (order_block_lanes), checked to
+keep its running sums in the old dimensions below ``0.98 * 2 * eps``.
+The selection steers every target coordinate from the first round, not
+just the certified ones: once the small indices are spent, moving a
+coordinate by a fixed amount with harmonic tail terms costs
+exponentially many indices, so deferring a coordinate until its round
+would blow the budget.  Every claim is rechecked with measured
+quantities before the new condition is accepted; if the ordering or any
+check fails, ``delta`` is halved and the attempt repeats.
 
 All tolerances are exact fractions.  Floating-point norms enter
 comparisons only through a fixed slack margin, so a certified inequality
@@ -31,7 +32,6 @@ survives recomputation by an independent checker.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,9 +40,9 @@ import numpy as np
 from .confinement import ConstantSchedule, DEFAULT_SCHEDULE
 from .errors import (BudgetExhaustedError, InfeasibleEtaError, InputError,
                      PreconditionError, SearchError)
-from .rearrange import (PrefixPlan, complementary_boosts, lane_modulus,
-                        order_block_lanes, plan_from_injection,
-                        select_block_indices, widest_lane_dim)
+from .rearrange import (PrefixPlan, lane_modulus, order_block_lanes,
+                        plan_from_injection, select_block_indices,
+                        widest_lane_dim)
 from .series import FamilyVector, partial_sum_vector, tail_sup_bound, vector_terms
 
 #: Margin subtracted from every strict certified comparison, absorbing
@@ -55,7 +55,6 @@ TAIL_CUTOFF_SPAN = 10_000
 
 _ETA_STEPS = 20
 _DELTA_RETRIES = 5
-_TOPUP_ROUNDS = 6
 
 def certified_lt(value: float, bound: Fraction) -> bool:
     """Strict float-below-rational comparison with the slack margin."""
@@ -245,13 +244,11 @@ def _smallest_cover_cutoff(fam: FamilyVector, dim: int, bound: float,
 
 def _attempt_extension(cond: Condition, n: int, fam: FamilyVector,
                        targets: tuple[float, ...], delta: Fraction,
-                       schedule: ConstantSchedule, rng: random.Random,
-                       budget: int, full_dim: int,
-                       modulus: int | None
+                       schedule: ConstantSchedule, budget: int,
+                       full_dim: int, modulus: int | None
                        ) -> tuple[ExtendDetail | None, int]:
     d = cond.dim
     new_dim = d + 1
-    goal_full = np.array(targets[:full_dim])
     cover_bound = float(delta / Fraction(schedule.value_at(new_dim))) / 4.0
     m_cov = _smallest_cover_cutoff(fam, new_dim, cover_bound, floor=n)
     used = set(cond.injection)
@@ -259,13 +256,16 @@ def _attempt_extension(cond: Condition, n: int, fam: FamilyVector,
     used.update(cover)
     base_full = partial_sum_vector(fam, cond.injection, full_dim)
     cover_full = partial_sum_vector(fam, cover, full_dim)
-    residual = goal_full - base_full - cover_full
+    residual = np.array(targets[:full_dim]) - base_full - cover_full
     # Steering every coordinate now keeps the next round's residual at
     # tolerance scale; solving it later, when only far tail indices remain
-    # unused, would take exponentially many terms.
-    lane_tol = float(delta) / (4.0 * (2 ** full_dim) * math.sqrt(full_dim))
-    picks = select_block_indices(fam, full_dim, residual, used, lane_tol,
-                                 scan_cap=math.inf)
+    # unused, would take exponentially many terms.  With no scan cap the
+    # picks land within delta / 4 of the targets, measured in norm.
+    picks = select_block_indices(fam, full_dim, residual, used,
+                                 float(delta) / 4.0, scan_cap=math.inf)
+    # the used set is the largest object of the step; the ordering and
+    # the checks do not need it
+    del used
     block = cover + picks
     appended = len(block)
     if appended > budget:
@@ -279,37 +279,7 @@ def _attempt_extension(cond: Condition, n: int, fam: FamilyVector,
     ordered = order_block_lanes(fam, block, d, limit, modulus=modulus)
     if ordered is None:
         return None, appended
-    injection = list(cond.injection) + ordered
-    boosts: dict[tuple[int, ...], float] = {}
-    for _ in range(_TOPUP_ROUNDS):
-        sums_full = partial_sum_vector(fam, injection, full_dim)
-        dev_full = float(np.linalg.norm(goal_full - sums_full))
-        dev_active = float(np.linalg.norm(
-            np.array(targets[:new_dim]) - sums_full[:new_dim]))
-        if certified_lt(dev_active, delta) and dev_full < float(delta):
-            break
-        residual = goal_full - sums_full
-        extra = select_block_indices(fam, full_dim, residual, used,
-                                     lane_tol / 2.0, boosts=boosts,
-                                     scan_cap=math.inf)
-        boosts = {}
-        if not extra:
-            scale = max(dev_full, float(delta)) * 0.5
-            boosts = complementary_boosts(fam, full_dim, scale, rng)
-            continue
-        appended += len(extra)
-        if appended > budget:
-            raise BudgetExhaustedError(
-                "top-up blocks exceeded the remaining budget",
-                best=plan_from_injection(fam, injection, targets[:new_dim],
-                                         new_dim))
-        offset = partial_sum_vector(fam, injection[len(cond.injection):], d)
-        ordered = order_block_lanes(fam, extra, d, limit, offset=offset,
-                                    modulus=modulus)
-        if ordered is None:
-            return None, appended
-        injection.extend(ordered)
-    candidate = Condition(tuple(injection), new_dim, delta)
+    candidate = Condition(cond.injection + tuple(ordered), new_dim, delta)
     check = is_condition(candidate, fam, targets, schedule=schedule)
     link = leq(candidate, cond, fam)
     if check.ok and link.ok:
@@ -318,17 +288,21 @@ def _attempt_extension(cond: Condition, n: int, fam: FamilyVector,
 
 
 def extend_detail(cond: Condition, n: int, fam: FamilyVector, targets,
-                  seed: int = 0, budget: int = 10 ** 7,
+                  budget: int = 10 ** 7,
                   schedule: ConstantSchedule | None = None) -> ExtendDetail:
     """One refinement round: activate dimension ``d + 1``, cover all indices
     below ``n``, and certify a tolerance below ``1/n``.
 
-    Returns the new condition together with the refinement evidence.
+    ``budget`` (nonnegative) caps the indices appended, summed over the
+    ``delta`` attempts.  Returns the new condition together with the refinement
+    evidence.
     """
     schedule = schedule or DEFAULT_SCHEDULE
     targets_t = _targets_tuple(targets)
     if n < 0:
         raise InputError("coverage bound must be nonnegative")
+    if budget < 0:
+        raise InputError(f"budget must be nonnegative, got {budget!r}")
     new_dim = cond.dim + 1
     if len(fam) < new_dim or len(targets_t) < new_dim:
         raise InputError(
@@ -362,12 +336,11 @@ def extend_detail(cond: Condition, n: int, fam: FamilyVector, targets,
     scope = widest_lane_dim(fam, new_dim, min(len(fam), len(targets_t)))
     full_dim = scope if scope is not None else new_dim
     modulus = lane_modulus(fam, full_dim)
-    rng = random.Random(seed)
     budget_left = budget
     for _ in range(_DELTA_RETRIES):
         detail, spent = _attempt_extension(cond, n, fam, targets_t, delta,
-                                           schedule, rng, budget_left,
-                                           full_dim, modulus)
+                                           schedule, budget_left, full_dim,
+                                           modulus)
         budget_left -= spent
         if detail is not None:
             return detail
@@ -378,10 +351,10 @@ def extend_detail(cond: Condition, n: int, fam: FamilyVector, targets,
 
 
 def extend(cond: Condition, n: int, fam: FamilyVector, targets,
-           seed: int = 0, budget: int = 10 ** 7,
+           budget: int = 10 ** 7,
            schedule: ConstantSchedule | None = None) -> Condition:
     """Refine ``cond`` by one dimension; see extend_detail for the evidence."""
-    return extend_detail(cond, n, fam, targets, seed, budget, schedule).condition
+    return extend_detail(cond, n, fam, targets, budget, schedule).condition
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +394,10 @@ def run(fam: FamilyVector, targets, rounds: int, seed: int = 0,
     After round ``r`` the active dimension is ``r + 1``, the tolerance is
     below ``1/r``, and indices ``0..r-1`` appear in both the domain and
     the range of the injection.  Returns the full chain and the final
-    injection as a plan.
+    injection as a plan.  ``seed`` is ignored: the extension step draws
+    no random numbers.
     """
+    del seed
     schedule = schedule or DEFAULT_SCHEDULE
     targets_t = _targets_tuple(targets)
     if rounds < 0:
@@ -440,14 +415,11 @@ def run(fam: FamilyVector, targets, rounds: int, seed: int = 0,
     conditions = [cond]
     links: list[ConditionReport] = []
     reports = [report]
-    rng = random.Random(seed)
     budget_left = budget
     for r in range(1, rounds + 1):
-        round_seed = rng.getrandbits(32)
         try:
             detail = extend_detail(conditions[-1], r, fam, targets_t,
-                                   seed=round_seed, budget=budget_left,
-                                   schedule=schedule)
+                                   budget=budget_left, schedule=schedule)
         except BudgetExhaustedError as exc:
             partial = CertificateChain(tuple(conditions), tuple(links),
                                        tuple(reports))

@@ -334,11 +334,11 @@ def _lane_masses(struct: _LaneStructure, residual: np.ndarray,
 
 def _take_from_lane(struct: _LaneStructure, residues: Sequence[int],
                     mass: float, lane_tol: float, used: set[int],
-                    scan_floor: int, scan_cap: float) -> list[int]:
+                    scan_cap: float) -> list[int]:
     p = struct.exponent
     picks: list[int] = []
     remaining = mass
-    block = max(0, scan_floor - struct.modulus) // struct.modulus
+    block = 0
     ordered = sorted(residues)
     while remaining >= lane_tol:
         base = block * struct.modulus
@@ -346,7 +346,7 @@ def _take_from_lane(struct: _LaneStructure, residues: Sequence[int],
             break
         for r in ordered:
             m = base + r
-            if m < scan_floor or m in used:
+            if m in used:
                 continue
             magnitude = (m + 1.0) ** -p
             if magnitude <= remaining:
@@ -360,49 +360,58 @@ def _take_from_lane(struct: _LaneStructure, residues: Sequence[int],
 
 
 def _first_unused(struct: _LaneStructure, residues: Sequence[int],
-                  used: set[int], floor: int) -> int:
-    """Smallest unused lane member at or above ``floor``."""
+                  used: set[int]) -> int:
+    """Smallest unused lane member."""
     ordered = sorted(residues)
-    block = max(floor, 0) // struct.modulus
+    block = 0
     while True:
         base = block * struct.modulus
         for r in ordered:
             m = base + r
-            if m >= floor and m not in used:
+            if m not in used:
                 return m
         block += 1
 
 
 def select_block_indices(fam: FamilyVector, dim: int, residual: np.ndarray,
-                         used: set[int], lane_tol: float,
+                         used: set[int], tol: float,
                          boosts: Mapping[tuple[int, ...], float] | None = None,
-                         scan_floor: int = 0,
                          scan_cap: float | None = None) -> list[int]:
-    """Pick unused indices whose term-vector sum approximates ``residual``.
+    """Pick unused indices whose term-vector sum lands within ``tol`` of
+    ``residual``.
 
     Mutates ``used``.  Requires the active specs to form a dyadic
     sign-pattern family with a common exponent and distinct levels.
-    ``scan_cap`` may be ``math.inf``; the take-if-fits scan terminates on
-    its own once the remaining mass drops under ``lane_tol``.
+    Each of the ``L = 2**dim`` sign lanes is assigned a mass (complementary
+    ``boosts`` cancel in the sum) and scanned take-if-fits until less than
+    ``lane_tol = tol / (L * sqrt(dim) * max|c|)`` of its mass is left,
+    where ``c`` are the series' coefficients.  So coordinate ``i`` misses
+    by less than ``|c_i| * L * lane_tol``, and the norm of the miss is
+    below ``tol`` when ``scan_cap`` is ``math.inf``; the scan still
+    terminates, because the terms tend to zero.  The default cap, a few
+    lane periods past the depth where terms fall to ``lane_tol``, can
+    stop a lane early and void the bound.
     """
     struct = _lane_structure(fam, dim)
     if struct is None:
         raise StructureError(
             "block selection needs distinct sign levels and a common exponent "
             "across the active series")
+    lane_tol = tol / (len(struct.sign_vectors) * math.sqrt(dim)
+                      * max(abs(c) for c in struct.coeffs))
     if scan_cap is None:
         depth = (1.0 / max(lane_tol, 1e-12)) ** (1.0 / struct.exponent)
-        scan_cap = int(scan_floor + struct.modulus * (depth + 64) * 4)
+        scan_cap = int(struct.modulus * (depth + 64) * 4)
     frontiers = {}
     for sig, residues in zip(struct.sign_vectors, struct.lane_residues):
-        first = _first_unused(struct, residues, used, scan_floor)
+        first = _first_unused(struct, residues, used)
         frontiers[sig] = float(max(first, 1))
     picks: list[int] = []
     masses = _lane_masses(struct, residual, boosts or {}, frontiers)
     for sig, mass in masses.items():
         residues = struct.lane_residues[struct.sign_vectors.index(sig)]
         picks.extend(_take_from_lane(struct, residues, mass, lane_tol, used,
-                                     scan_floor, scan_cap))
+                                     scan_cap))
     picks.sort()
     return picks
 
@@ -445,7 +454,7 @@ def complementary_boosts(fam: FamilyVector, dim: int, scale: float,
 
 
 def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
-                      threshold: float, offset: Sequence[float] | None = None,
+                      threshold: float,
                       modulus: int | None = None) -> list[int] | None:
     """Balanced interleaving of residue lanes; the engine's block orderer.
 
@@ -457,17 +466,17 @@ def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
     ``(c - t/2) / C``, the midpoint of its share of the lane's mass.  The
     block is taken in ascending key order; equal keys keep ascending
     index order, so a single lane comes out in ascending order.  One
-    ``np.cumsum`` then checks every running ``dim``-dimensional sum,
-    started at ``offset``, and the result is None when any of their norms
-    exceeds ``threshold``.
+    ``np.cumsum`` then checks every running ``dim``-dimensional sum of
+    the block, and the result is None when any of their norms exceeds
+    ``threshold``.
 
     Every lane drains at the same rate, so each prefix is within half a
-    term per lane of ``offset + s * B``, where ``B`` is the block sum and
-    ``s`` the share taken.  When every lane's terms are parallel, as for
-    pure sign-pattern series with ``modulus`` a multiple of
+    term per lane of ``s * B``, where ``B`` is the block sum and ``s``
+    the share taken.  When every lane's terms are parallel, as for pure
+    sign-pattern series with ``modulus`` a multiple of
     ``lane_modulus(fam, dim)``, each prefix norm is therefore at most
-    ``max(||offset||, ||offset + B||)`` plus half the sum, over lanes, of
-    the lane's largest term norm.
+    ``||B||`` plus half the sum, over lanes, of the lane's largest term
+    norm.
     """
     if modulus is None:
         modulus = lane_modulus(fam, dim) or 1
@@ -486,8 +495,6 @@ def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
         key[group] = (c - t / 2) / c[-1]
     order = np.argsort(key, kind="stable")
     sums = np.cumsum(rows[order], axis=0)
-    if offset is not None:
-        sums += np.asarray(offset, dtype=np.float64)
     if np.linalg.norm(sums, axis=1).max() > threshold:
         return None
     return idx[order].tolist()
@@ -521,8 +528,7 @@ def order_block(fam: FamilyVector, indices: Sequence[int],
 
 def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
                  eps: float, seed: int = 0, budget: int = 10 ** 6,
-                 dim: int | None = None,
-                 max_rounds: int = _DEFAULT_MAX_ROUNDS) -> PrefixPlan:
+                 dim: int | None = None) -> PrefixPlan:
     """Extend ``base`` until the d-dimensional partial sum is within ``eps``
     of ``target``.
 
@@ -551,20 +557,21 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
             "chasing several series at once needs dyadic sign-pattern "
             "structure; decompose the family first")
     appended = 0
-    best: PrefixPlan | None = None
+    # the deviation and length of the closest prefix so far, as in
+    # riemann_rearrange; its plan is built only when raising
+    best_dev, best_len = math.inf, 0
     prev_dev = math.inf
     boosts: dict[tuple[int, ...], float] = {}
-    for _ in range(max_rounds):
+    for _ in range(_DEFAULT_MAX_ROUNDS):
         sums = partial_sum_vector(fam, injection, dim)
         residual = goal - sums
         dev = float(np.linalg.norm(residual))
-        if best is None or dev < best.deviation:
-            best = plan_from_injection(fam, injection, tv, dim)
+        if dev < best_dev:
+            best_dev, best_len = dev, len(injection)
         if dev < eps * 0.95:
             return plan_from_injection(fam, injection, tv, dim)
         if lanes_ok:
-            lane_tol = eps / (4.0 * (2 ** dim) * math.sqrt(dim))
-            picks = select_block_indices(fam, dim, residual, used, lane_tol,
+            picks = select_block_indices(fam, dim, residual, used, eps / 4.0,
                                          boosts=boosts)
         else:
             picks = _select_scalar(fam[0], float(residual[0]), used,
@@ -576,15 +583,17 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
             if appended > budget:
                 raise BudgetExhaustedError(
                     f"block selection exceeded the budget of {budget} terms",
-                    best=best)
+                    best=plan_from_injection(fam, injection[:best_len], tv,
+                                             dim))
             injection.extend(order_block(fam, picks, dim))
         stalled = not picks or dev > prev_dev * 0.9
         if stalled and lanes_ok:
             boosts = complementary_boosts(fam, dim, max(dev, eps) * 0.5, rng)
         prev_dev = dev
     raise BudgetExhaustedError(
-        f"no plan within eps={eps!r} after {max_rounds} rounds "
-        f"(best deviation {best.deviation!r})", best=best)
+        f"no plan within eps={eps!r} after {_DEFAULT_MAX_ROUNDS} rounds "
+        f"(best deviation {best_dev!r})",
+        best=plan_from_injection(fam, injection[:best_len], tv, dim))
 
 
 def cover_indices(fam: FamilyVector, plan: PrefixPlan, n: int, target,

@@ -133,7 +133,7 @@ def test_extend_run_then_verify_roundtrip(tmp_path, capsys):
     spec = write_family_file(tmp_path / "pair.json", [RAD_PAIR_ENTRIES])
     cert = tmp_path / "chain.cert"
     code = main(["extend-run", "--spec", spec, "--targets", "0.1,-0.2",
-                 "--rounds", "1", "--seed", "3", "--budget", "1000000",
+                 "--rounds", "1", "--budget", "1000000",
                  "--cert", str(cert)])
     assert code == 0
     assert "rounds=1" in capsys.readouterr().out
@@ -234,7 +234,7 @@ def test_schedule_env_reaches_extend_run_and_verify(tmp_path, capsys,
     spec = write_family_file(tmp_path / "pair.json", [RAD_PAIR_ENTRIES])
     cert = tmp_path / "chain.cert"
     assert main(["extend-run", "--spec", spec, "--targets", "0.1,-0.2",
-                 "--rounds", "1", "--seed", "3", "--cert", str(cert)]) == 0
+                 "--rounds", "1", "--cert", str(cert)]) == 0
     assert "rounds=1" in capsys.readouterr().out
     assert main(["verify", "--cert", str(cert), "--spec", spec]) == 0
     assert "certificate ok" in capsys.readouterr().out

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from sumchase import (Condition, InputError, PreconditionError, certified_le,
-                      certified_lt, extend, extend_detail, family,
+                      certified_lt, composite, extend, extend_detail, family,
                       initial_condition, is_condition, leq,
                       rademacher_harmonic, run)
 from sumchase import conditions
+from sumchase.certcheck import verify_data
 from sumchase.conditions import TAIL_CUTOFF_SPAN
+from sumchase.fileio import parse_certificate, write_certificate
 from sumchase.series import partial_sum_vector, tail_sup_bound, vector_terms
 
 PAIR = family(rademacher_harmonic(0), rademacher_harmonic(1))
@@ -134,7 +136,7 @@ def test_order_rejects_dimension_drops(small_chain):
 
 def test_single_extension_covers_and_tightens():
     base = initial_condition(PAIR, TARGETS)
-    detail = extend_detail(base, 2, PAIR, TARGETS, seed=7, budget=10 ** 6)
+    detail = extend_detail(base, 2, PAIR, TARGETS, budget=10 ** 6)
     new = detail.condition
     assert new.dim == 2
     assert new.eps < Fraction(1, 2)
@@ -146,7 +148,7 @@ def test_single_extension_covers_and_tightens():
 
 def test_a_failed_ordering_halves_delta_and_retries(monkeypatch):
     base = initial_condition(PAIR, TARGETS)
-    plain = extend_detail(base, 2, PAIR, TARGETS, seed=7, budget=10 ** 6)
+    plain = extend_detail(base, 2, PAIR, TARGETS, budget=10 ** 6)
     real = conditions.order_block_lanes
     calls = []
 
@@ -155,52 +157,17 @@ def test_a_failed_ordering_halves_delta_and_retries(monkeypatch):
         return None if len(calls) == 1 else real(*args, **kwargs)
 
     monkeypatch.setattr(conditions, "order_block_lanes", fail_once)
-    detail = extend_detail(base, 2, PAIR, TARGETS, seed=7, budget=10 ** 6)
+    detail = extend_detail(base, 2, PAIR, TARGETS, budget=10 ** 6)
     assert len(calls) >= 2
     assert detail.check.ok
     assert detail.link.ok
     assert detail.condition.eps == plain.condition.eps / 2
 
 
-def test_top_up_blocks_start_from_the_appended_sum(monkeypatch):
-    """When the first block lands short, the top-up rounds chase the rest
-    and order each extra block from the running sum the earlier blocks
-    left in the old dimensions."""
-    real_select = conditions.select_block_indices
-    real_order = conditions.order_block_lanes
-    selects, orders = [], []
-
-    def half_first(fam, dim, residual, *args, **kwargs):
-        if not selects:
-            residual = residual / 2
-        selects.append(residual)
-        return real_select(fam, dim, residual, *args, **kwargs)
-
-    def record(fam, indices, dim, threshold, **kwargs):
-        ordered = real_order(fam, indices, dim, threshold, **kwargs)
-        orders.append((ordered, kwargs.get("offset")))
-        return ordered
-
-    monkeypatch.setattr(conditions, "select_block_indices", half_first)
-    monkeypatch.setattr(conditions, "order_block_lanes", record)
-    base = initial_condition(PAIR, TARGETS)
-    detail = extend_detail(base, 2, PAIR, TARGETS, seed=7, budget=10 ** 6)
-    assert detail.check.ok
-    assert detail.link.ok
-    assert len(orders) >= 2
-    assert orders[0][1] is None
-    appended = list(orders[0][0])
-    for ordered, offset in orders[1:]:
-        expected = vector_terms(PAIR, appended, base.dim).sum(axis=0)
-        np.testing.assert_allclose(offset, expected, rtol=0, atol=1e-12)
-        appended += ordered
-    assert detail.condition.injection == tuple(appended)
-
-
 def test_extension_is_deterministic():
     base = initial_condition(PAIR, TARGETS)
-    one = extend(base, 2, PAIR, TARGETS, seed=12, budget=10 ** 6)
-    two = extend(base, 2, PAIR, TARGETS, seed=12, budget=10 ** 6)
+    one = extend(base, 2, PAIR, TARGETS, budget=10 ** 6)
+    two = extend(base, 2, PAIR, TARGETS, budget=10 ** 6)
     assert one == two
 
 
@@ -240,6 +207,20 @@ def test_chain_deviation_lands_inside_the_final_tolerance(small_chain):
     assert gap < float(final.eps)
 
 
+@pytest.mark.parametrize("call", [
+    lambda budget: extend_detail(initial_condition(PAIR, TARGETS), 2, PAIR,
+                                 TARGETS, budget=budget),
+    lambda budget: extend(initial_condition(PAIR, TARGETS), 2, PAIR,
+                          TARGETS, budget=budget),
+    lambda budget: run(PAIR, TARGETS, 0, budget=budget),
+    lambda budget: run(PAIR, TARGETS, 1, budget=budget),
+], ids=["extend_detail", "extend", "run-0-rounds", "run-1-round"])
+@pytest.mark.parametrize("budget", [-1, -5])
+def test_negative_budgets_are_bad_input(call, budget):
+    with pytest.raises(InputError, match="budget must be nonnegative"):
+        call(budget)
+
+
 def test_run_validates_round_counts():
     with pytest.raises(InputError):
         run(PAIR, TARGETS, -1)
@@ -252,3 +233,18 @@ def test_zero_rounds_returns_just_the_initial_condition():
     assert len(chain.conditions) == 1
     assert chain.checks == ()
     assert plan.injection == ()
+
+
+def test_chain_on_a_scaled_lane_family_verifies(tmp_path):
+    """The extension step on a family whose first series is scaled by 8
+    builds a chain that the independent checker accepts."""
+    fam = family(composite([(8.0, rademacher_harmonic(0))]),
+                 rademacher_harmonic(1), rademacher_harmonic(2))
+    targets = (0.1, -0.2, 0.3)
+    chain, _ = run(fam, targets, 2)
+    assert [c.dim for c in chain.conditions] == [1, 2, 3]
+    cert = tmp_path / "scaled.cert"
+    write_certificate(str(cert), chain, targets)
+    report = verify_data(parse_certificate(str(cert)), fam)
+    assert report.ok, report.failures
+    assert report.conditions_checked == 3

@@ -56,6 +56,20 @@ def test_tiny_budget_raises_and_carries_the_best_plan():
     assert len(best.injection) <= 50
 
 
+def test_chase_budget_carries_its_closest_prefix():
+    """A chase that runs out of budget reports the round prefix that came
+    closest to the target, as a plan rebuilt from its injection."""
+    fam = family(composite([(1.0, ALT)], perturbation=abs_power(2.0)))
+    full = chase_target(fam, None, 1.5, 1e-3, seed=1)
+    with pytest.raises(BudgetExhaustedError) as info:
+        chase_target(fam, None, 1.5, 1e-3, seed=1, budget=11)
+    best = info.value.best
+    # the first two blocks (5 and 6 indices) fit, the third does not
+    assert best.injection == full.injection[:11]
+    assert best == plan_from_injection(fam, best.injection, 1.5)
+    assert best.deviation < 1.5
+
+
 def test_greedy_crossing_error_is_bounded_by_unused_terms():
     target = 0.25
     plan = riemann_rearrange(ALT, target, 0.02)
@@ -203,20 +217,41 @@ def test_block_selection_stays_disjoint_from_used_indices():
 
 
 def test_block_selection_approximates_the_residual():
-    fam = family(rademacher_harmonic(0), rademacher_harmonic(1))
-    residual = np.array([0.25, -0.15])
-    picks = select_block_indices(fam, 2, residual.copy(), set(), 0.005)
-    got = np.asarray([sum(term(fam[i], m) for m in picks) for i in range(2)])
-    assert np.linalg.norm(got - residual, ord=np.inf) < 0.05
+    """The landing contract: with no scan cap the picked rows sum to
+    within ``tol`` of the residual, whatever the coefficients, the
+    indices already used and the complementary boosts."""
+    rng = random.Random(8)
+    coefficients = (1.0, 3.0, 8.0, -6.0, 0.5)
+    for case in range(60):
+        dim = 1 + case % 4
+        levels = sorted(rng.sample(range(5), dim))
+        fam = family(*(composite([(rng.choice(coefficients),
+                                   rademacher_harmonic(level))])
+                       for level in levels))
+        residual = np.array([rng.uniform(-0.4, 0.4) for _ in range(dim)])
+        if case % 10 == 9:
+            residual[:] = 0.0
+        used = set(rng.sample(range(400), rng.choice((0, 30, 200))))
+        prior = set(used)
+        tol = rng.choice((0.05, 0.01, 0.002))
+        boosts = None
+        if case % 3 == 2:
+            boosts = rearrange.complementary_boosts(fam, dim, 0.05, rng)
+        picks = select_block_indices(fam, dim, residual, used, tol,
+                                     boosts=boosts, scan_cap=math.inf)
+        where = (case, levels, tuple(residual), tol)
+        assert not prior & set(picks), where
+        got = vector_terms(fam, picks, dim).reshape(-1, dim).sum(axis=0)
+        assert np.linalg.norm(got - residual) < tol + 1e-12, where
+        assert bool(picks) == bool(residual.any() or boosts), where
 
 
 def test_lane_ordering_contract():
     """The lane merge returns a deterministic permutation of the block,
     None exactly when its running sums break ``threshold``, and, when
     ``modulus`` is a multiple of the family's lane modulus, every prefix
-    norm at most ``max(||offset||, ||offset + B||)`` plus half the sum,
-    over residue lanes, of the lane's largest term norm (``B`` is the
-    block sum)."""
+    norm at most ``||B||`` plus half the sum, over residue lanes, of the
+    lane's largest term norm (``B`` is the block sum)."""
     rng = random.Random(20)
     # exponent 1e-18 makes every term +-1.0, so keys of different lanes
     # tie and the tie order decides
@@ -230,26 +265,20 @@ def test_lane_ordering_contract():
         modulus = (None, 8, 16)[case // 4 % 3]
         span = rng.choice((64, 600, 4000))
         block = rng.sample(range(span), rng.randint(0, min(span, 220)))
-        offset = None
-        if case // 12 % 2:
-            offset = [rng.uniform(-0.5, 0.5) for _ in range(dim)]
         threshold = math.inf
         if rng.random() < 0.6:
             threshold = rng.uniform(0.3, 3.0) * (2.0 if exponent < 1e-9
                                                  else 1.0)
         where = (case, dim, modulus, exponent, threshold)
-        got = order_block_lanes(fam, block, dim, threshold, offset=offset,
-                                modulus=modulus)
+        got = order_block_lanes(fam, block, dim, threshold, modulus=modulus)
         assert got == order_block_lanes(fam, block, dim, threshold,
-                                        offset=offset, modulus=modulus)
+                                        modulus=modulus)
         # the order does not depend on the limit, so the unlimited call
         # shows which running sums the limited one checked
-        merged = order_block_lanes(fam, block, dim, math.inf, offset=offset,
-                                   modulus=modulus)
+        merged = order_block_lanes(fam, block, dim, math.inf, modulus=modulus)
         assert sorted(merged) == sorted(block), where
-        start = np.zeros(dim) if offset is None else np.asarray(offset)
         rows = vector_terms(fam, merged, dim).reshape(-1, dim)
-        norms = np.linalg.norm(start + np.cumsum(rows, axis=0), axis=1)
+        norms = np.linalg.norm(np.cumsum(rows, axis=0), axis=1)
         top = float(norms.max()) if norms.size else 0.0
         if top > threshold:
             assert got is None, where
@@ -263,8 +292,7 @@ def test_lane_ordering_contract():
             for m, t in zip(merged, np.linalg.norm(rows, axis=1)):
                 lane = m % lanes
                 largest[lane] = max(largest.get(lane, 0.0), float(t))
-            total = rows.sum(axis=0)
-            bound = (max(np.linalg.norm(start), np.linalg.norm(start + total))
+            bound = (np.linalg.norm(rows.sum(axis=0))
                      + 0.5 * sum(largest.values()))
             assert top <= bound + 1e-12, where
             outcomes["bounded"] += 1
