@@ -25,6 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .confinement import ConstantSchedule, DEFAULT_SCHEDULE
+from .errors import InputError
 from .fileio import (CERTIFICATE_VERSION, CertificateData, LinkRecord,
                      parse_certificate, parse_spec_file)
 from .series import FamilyVector, tail_sup_bound, term_array
@@ -216,7 +217,11 @@ def verify_data(data: CertificateData, fam: FamilyVector,
                 targets: Sequence[float] | None = None,
                 schedule: ConstantSchedule | None = None
                 ) -> VerificationReport:
-    """Check an already-parsed certificate against a family."""
+    """Check an already-parsed certificate against a family.
+
+    Supplied ``targets`` that are not all finite raise
+    :class:`InputError`, as they do when a chain is built.
+    """
     failures: list[str] = []
     if data.version != CERTIFICATE_VERSION:
         failures.append(f"header: unsupported version {data.version}")
@@ -224,6 +229,9 @@ def verify_data(data: CertificateData, fam: FamilyVector,
         targets_t = data.targets
     else:
         targets_t = tuple(float(x) for x in targets)
+        if not all(map(math.isfinite, targets_t)):
+            raise InputError(f"targets must be finite, got "
+                             f"{','.join(map(repr, targets_t))}")
         if data.targets and data.targets != targets_t:
             failures.append("header: recorded targets differ from the "
                             "supplied ones")

@@ -15,12 +15,20 @@ family is a list of series descriptions keyed by ``kind``:
 
 Output files are byte stable: floats are written with ``repr`` and lines
 end with a bare newline, so identical runs produce identical bytes.
+Traces are computed in this process and formatted in jobs of ``2**10``
+rows; a trace longer than ``2**16`` steps has its jobs formatted by
+forked worker processes when this process may use two or more CPUs,
+and its lines are still written in step order, so the bytes are the
+same either way (see :func:`emit_trace`).
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
+import os
+import signal
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
@@ -149,9 +157,126 @@ class TraceRow(NamedTuple):
 #: chunk to the next, so this constant fixes the bits of the sum columns.
 _TRACE_CHUNK = 1 << 16
 
-#: Rows converted from arrays to Python objects at a time.  Larger slices
-#: hold more objects at once and were no faster.
-_ROW_SLICE = 1024
+#: Rows per formatting job.  It divides ``_TRACE_CHUNK``, so a trace of
+#: ``n`` steps makes ``ceil(n / _JOB_ROWS)`` jobs.  Jobs of ``2**11`` and
+#: ``2**12`` rows were no faster in workers and hold more objects at once.
+_JOB_ROWS = 1 << 10
+
+
+class _TraceJob(NamedTuple):
+    """Consecutive trace rows, formatted as one unit.
+
+    ``runs`` cuts the rows into ``(first, stop, active_dim, active_eps)``
+    runs that share their condition columns, and ``annotated`` says
+    whether those columns are written at all.
+    """
+
+    start: int
+    indices: np.ndarray
+    terms: np.ndarray
+    sums: np.ndarray
+    runs: tuple[tuple[int, int, int | None, Fraction | None], ...]
+    annotated: bool
+
+
+def _header(dim: int, annotated: bool) -> str:
+    header = ["step", "index"]
+    header += [f"term_{i}" for i in range(dim)]
+    header += [f"sum_{i}" for i in range(dim)]
+    if annotated:
+        header += ["active_dim", "active_eps"]
+    return ",".join(header) + "\n"
+
+
+def _row_format(dim: int) -> str:
+    return "%s,%s" + ",%r" * (2 * dim) + "%s"
+
+
+def _run_cells(job: _TraceJob, first: int, stop: int) -> Iterator[tuple]:
+    """``(step, index, terms, sums)`` of a job's rows ``first:stop``, as
+    Python numbers and lists."""
+    return zip(range(job.start + first, job.start + stop),
+               job.indices[first:stop].tolist(),
+               job.terms[first:stop].tolist(),
+               job.sums[first:stop].tolist())
+
+
+def _format_job(job: _TraceJob) -> list[str]:
+    """The CSV lines of one job, each ending in a bare newline."""
+    row_format = _row_format(job.terms.shape[1])
+    lines: list[str] = []
+    for first, stop, active_dim, active_eps in job.runs:
+        suffix = f",{active_dim},{active_eps}\n" if job.annotated else "\n"
+        lines += [row_format % (step, index, *terms, *sums, suffix)
+                  for step, index, terms, sums in _run_cells(job, first,
+                                                             stop)]
+    return lines
+
+
+class _Trace:
+    """What :func:`trace_rows` returns: an iterator of :class:`TraceRow`
+    whose rows :func:`emit_trace` can also take as formatting jobs.
+
+    Nothing is computed until the rows or the jobs are asked for.
+    """
+
+    def __init__(self, fam: FamilyVector, injection: Sequence[int],
+                 dim: int, chain: CertificateChain | None) -> None:
+        self._args = (fam, injection, dim, chain)
+        self.length = len(injection)
+        self._rows: Iterator[TraceRow] | None = None
+
+    def __iter__(self) -> _Trace:
+        return self
+
+    def __next__(self) -> TraceRow:
+        if self._rows is None:
+            self._rows = self._row_iter()
+        return next(self._rows)
+
+    def take_jobs(self) -> Iterator[_TraceJob] | None:
+        """Every row as jobs, or None once rows have been taken."""
+        if self._rows is not None:
+            return None
+        self._rows = iter(())
+        return self._jobs()
+
+    def _jobs(self) -> Iterator[_TraceJob]:
+        fam, injection, dim, chain = self._args
+        labels: list[tuple[int | None, Fraction | None]] = [(None, None)]
+        lengths = np.zeros(0, dtype=np.int64)
+        if chain is not None:
+            labels = [(c.dim, c.eps) for c in chain.conditions] + labels
+            # the running maximum keeps "first condition longer than the
+            # step" a sorted search even for hand-built chains
+            lengths = np.maximum.accumulate(
+                [len(c.injection) for c in chain.conditions])
+        # the condition columns are written when step 0 has a condition
+        annotated = bool(len(lengths) and lengths[-1] > 0)
+        carry = np.zeros(dim)
+        indices = np.asarray(injection, dtype=np.int64)
+        for start in range(0, len(indices), _TRACE_CHUNK):
+            part = indices[start:start + _TRACE_CHUNK]
+            terms = vector_terms(fam, part, dim)
+            sums = np.cumsum(terms, axis=0) + carry
+            carry = sums[-1].copy()
+            owner = np.searchsorted(
+                lengths, np.arange(start, start + len(part)), side="right")
+            for lo in range(0, len(part), _JOB_ROWS):
+                hi = min(lo + _JOB_ROWS, len(part))
+                cuts = [0, *(np.flatnonzero(np.diff(owner[lo:hi])) + 1
+                             ).tolist(), hi - lo]
+                runs = tuple((first, stop, *labels[int(owner[lo + first])])
+                             for first, stop in zip(cuts[:-1], cuts[1:]))
+                yield _TraceJob(start + lo, part[lo:hi], terms[lo:hi],
+                                sums[lo:hi], runs, annotated)
+
+    def _row_iter(self) -> Iterator[TraceRow]:
+        for job in self._jobs():
+            for first, stop, active_dim, active_eps in job.runs:
+                for step, index, terms, sums in _run_cells(job, first, stop):
+                    yield TraceRow(step, index, tuple(terms), tuple(sums),
+                                   active_dim, active_eps)
 
 
 def trace_rows(fam: FamilyVector, injection: Sequence[int], dim: int,
@@ -163,61 +288,128 @@ def trace_rows(fam: FamilyVector, injection: Sequence[int], dim: int,
     index was appended: the shallowest condition whose prefix already
     contains that step.  Steps past the chain's last condition carry
     ``None`` for both.
+
+    The sums are ``np.cumsum`` runs over ``2**16``-step chunks with the
+    total carried from chunk to chunk, so their bits do not depend on
+    how the rows are consumed.  Handed to :func:`emit_trace` before any
+    row is taken, the iterator gives up its rows as formatting jobs of
+    ``2**10`` rows instead, which is what lets long traces be formatted
+    in parallel.
     """
-    labels: list[tuple[int | None, Fraction | None]] = [(None, None)]
-    lengths = np.zeros(0, dtype=np.int64)
-    if chain is not None:
-        labels = [(c.dim, c.eps) for c in chain.conditions] + labels
-        # the running maximum keeps "first condition longer than the
-        # step" a sorted search even for hand-built chains
-        lengths = np.maximum.accumulate(
-            [len(c.injection) for c in chain.conditions])
-    carry = np.zeros(dim)
-    indices = np.asarray(injection, dtype=np.int64)
-    for start in range(0, len(indices), _TRACE_CHUNK):
-        part = indices[start:start + _TRACE_CHUNK]
-        terms = vector_terms(fam, part, dim)
-        sums = np.cumsum(terms, axis=0) + carry
-        carry = sums[-1].copy()
-        owner = np.searchsorted(lengths, np.arange(start, start + len(part)),
-                                side="right")
-        cuts = [0, *(np.flatnonzero(np.diff(owner)) + 1).tolist(), len(part)]
-        for first, stop in zip(cuts[:-1], cuts[1:]):
-            active_dim, active_eps = labels[int(owner[first])]
-            for lo in range(first, stop, _ROW_SLICE):
-                hi = min(lo + _ROW_SLICE, stop)
-                for step, index, row_terms, row_sums in zip(
-                        range(start + lo, start + hi), part[lo:hi].tolist(),
-                        map(tuple, terms[lo:hi].tolist()),
-                        map(tuple, sums[lo:hi].tolist())):
-                    yield TraceRow(step, index, row_terms, row_sums,
-                                   active_dim, active_eps)
+    return _Trace(fam, injection, dim, chain)
+
+
+def _format_worker(conn, inherited) -> None:
+    """Forked worker: send back the lines of each job received, until the
+    parent closes its end of the pipe."""
+    # an interrupt reaches the whole process group; the parent handles it
+    # and stops the workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for other in inherited:
+        # the parent's pipe ends, copied by the fork: closed so that each
+        # worker sees the end of input once the parent closes its own
+        other.close()
+    try:
+        while True:
+            conn.send(_format_job(conn.recv()))
+    except EOFError:
+        pass
+
+
+def _emit_pooled(jobs: Iterator[_TraceJob], out: IO[str],
+                 workers: int) -> None:
+    """Format jobs in forked workers and write their lines in job order.
+
+    The main thread hands jobs out round-robin with at most one in flight
+    per worker, so results come back in job order, and computes the next
+    job's sums while the workers format.  There is deliberately no
+    ``multiprocessing.Pool``: its result thread unpickles the text in a
+    malloc arena of its own, and with it the parent's peak RSS grew with
+    every repeated trace.  A worker that dies makes ``recv`` raise
+    ``EOFError``; on any error the workers are terminated.
+    """
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    conns: list = []
+    procs: list = []
+    try:
+        for _ in range(workers):
+            here, there = context.Pipe()
+            proc = context.Process(target=_format_worker,
+                                   args=(there, (*conns, here)),
+                                   daemon=True)
+            proc.start()
+            there.close()
+            conns.append(here)
+            procs.append(proc)
+        busy = collections.deque()
+        for conn, job in zip(conns, jobs):
+            conn.send(job)
+            busy.append(conn)
+        while busy:
+            conn = busy.popleft()
+            lines = conn.recv()
+            job = next(jobs, None)
+            if job is not None:
+                conn.send(job)
+                busy.append(conn)
+            for line in lines:
+                out.write(line)
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join()
 
 
 def emit_trace(rows: Iterable[TraceRow], out: IO[str]) -> None:
-    """Write trace rows as CSV with repr floats, streaming one write per
-    row."""
-    iterator = iter(rows)
+    """Write trace rows as CSV with repr floats, one ``out.write`` per row.
+
+    Rows straight from :func:`trace_rows` are formatted job by job.  When
+    such a trace spans at least two ``2**16``-step chunks and this process
+    may run on two or more CPUs, the jobs go to ``min(cpus, jobs)`` forked
+    worker processes; otherwise they are formatted inline.  The sums are
+    computed in this process either way and the lines are written in step
+    order, so the bytes do not depend on the path or the CPU count.  Any
+    other iterable of rows is formatted row by row.
+    """
+    jobs = rows.take_jobs() if isinstance(rows, _Trace) else None
+    if jobs is None:
+        _emit_rows(iter(rows), out)
+        return
+    first = next(jobs, None)
+    if first is None:
+        out.write(_header(1, False))
+        return
+    out.write(_header(first.terms.shape[1], first.annotated))
+    jobs = itertools.chain((first,), jobs)
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    workers = min(cpus, -(-rows.length // _JOB_ROWS))
+    if rows.length > _TRACE_CHUNK and workers >= 2:
+        _emit_pooled(jobs, out, workers)
+        return
+    for job in jobs:
+        for line in _format_job(job):
+            out.write(line)
+
+
+def _emit_rows(iterator: Iterator[TraceRow], out: IO[str]) -> None:
     first = next(iterator, None)
     dim = len(first.terms) if first is not None else 1
     annotated = first is not None and first.active_dim is not None
-    header = ["step", "index"]
-    header += [f"term_{i}" for i in range(dim)]
-    header += [f"sum_{i}" for i in range(dim)]
-    if annotated:
-        header += ["active_dim", "active_eps"]
-    out.write(",".join(header) + "\n")
+    out.write(_header(dim, annotated))
     if first is None:
         return
-    row_format = "%s,%s" + ",%r" * (2 * dim) + "%s"
-    # the condition columns change only at condition boundaries, so they
-    # are rendered once per run of rows that share them
-    suffix, shown_dim, shown_eps = "\n", None, None
+    row_format = _row_format(dim)
     for row in itertools.chain((first,), iterator):
-        if annotated and (row.active_eps is not shown_eps
-                          or row.active_dim != shown_dim):
-            shown_dim, shown_eps = row.active_dim, row.active_eps
-            suffix = f",{shown_dim},{shown_eps}\n"
+        suffix = (f",{row.active_dim},{row.active_eps}\n" if annotated
+                  else "\n")
         out.write(row_format % (row.step, row.index, *row.terms, *row.sums,
                                 suffix))
 

@@ -186,6 +186,20 @@ def test_malformed_certificate_is_an_input_error(tmp_path, old, new):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("targets", ["nan,0", "0,inf"])
+def test_non_finite_verify_targets_are_an_input_error(tmp_path, targets):
+    spec = write_family_file(tmp_path / "pair.json", [RAD_PAIR_ENTRIES])
+    cert = tmp_path / "good.cert"
+    cert.write_text(_GOOD_CERT)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sumchase.cli", "verify", "--cert", str(cert),
+         "--spec", spec, "--targets", targets],
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "targets must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("text", [
     '{"families": [[{"kind": "rademacher_harmonic", "level": 0, '
     '"exponent": "abc"}]]}',

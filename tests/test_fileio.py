@@ -1,6 +1,8 @@
 """Family files, trace CSVs and certificate round-trips."""
 import io
 import json
+import multiprocessing
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from sumchase import (InputError, abs_power, family, parse_certificate,
                       parse_spec_file, power_alternating, rademacher_harmonic,
                       trace_rows, write_certificate, write_trace)
+from sumchase import fileio
 from sumchase.conditions import CertificateChain, Condition
 from sumchase.fileio import emit_trace, parse_family
 from sumchase.series import vector_terms
@@ -95,6 +98,17 @@ def test_trace_rows_annotate_chain_stages(small_chain):
     assert first.active_eps == chain.conditions[1].eps
 
 
+def test_rows_from_any_iterable_give_the_same_csv(small_chain):
+    fam, _, chain, _, _ = small_chain
+    injection = chain.final().injection
+    direct, listed = io.StringIO(), io.StringIO()
+    emit_trace(trace_rows(fam, injection, 2, chain), direct)
+    emit_trace(list(trace_rows(fam, injection, 2, chain)), listed)
+    assert listed.getvalue() == direct.getvalue()
+    assert direct.getvalue().startswith(
+        "step,index,term_0,term_1,sum_0,sum_1,active_dim,active_eps\n")
+
+
 def test_empty_trace_is_just_a_header():
     buf = io.StringIO()
     emit_trace(iter(()), buf)
@@ -162,6 +176,101 @@ def test_trace_bytes_across_chunk_and_condition_boundaries(tmp_path,
     write_trace(str(path), trace_rows(fam, order, 2, use))
     assert path.read_bytes() == _reference_trace(fam, order, 2,
                                                  use).encode()
+
+
+@pytest.fixture(scope="module")
+def long_trace():
+    """A 150 005-step order over a two-series family, a chain over it and
+    the reference CSV of its plain and annotated trace.
+
+    Conditions end at steps 0, 40 000 and 100 000, each inside a
+    2**10-row formatting job, and the trace runs past the chain.  Chunks
+    start at step 0, so the trace of a prefix of the order is a prefix of
+    the reference.
+    """
+    fam = family(rademacher_harmonic(0), rademacher_harmonic(3))
+    order = np.random.default_rng(11).permutation(170_000)[:150_005].tolist()
+    chain = CertificateChain(
+        (Condition((), 1, Fraction(3)),
+         Condition(tuple(order[:40_000]), 1, Fraction(1, 7)),
+         Condition(tuple(order[:100_000]), 2, Fraction(22, 7_000))), (), ())
+    expected = {annotated: _reference_trace(
+        fam, order, 2, chain if annotated else None).encode()
+        for annotated in (True, False)}
+    return fam, order, chain, expected
+
+
+def _pin_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(fileio.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("length, annotated, cpus", [
+    (150_005, True, 3), (150_005, False, 2),
+    (131_072, True, 2), (131_072, False, 3),
+    (150_005, True, 1), (150_005, False, 1),
+], ids=["three-chunks-annotated-3cpu", "three-chunks-plain-2cpu",
+        "two-chunks-exact-annotated-2cpu", "two-chunks-exact-plain-3cpu",
+        "inline-annotated", "inline-plain"])
+def test_long_traces_keep_their_bytes_in_workers_and_inline(
+        long_trace, monkeypatch, tmp_path, length, annotated, cpus):
+    fam, order, chain, expected = long_trace
+    order = order[:length]
+    _pin_cpus(monkeypatch, cpus)
+    formatted_here = []
+    format_job = fileio._format_job
+
+    def counting(job):
+        # a forked worker appends to its own copy of the list
+        formatted_here.append(job.start)
+        return format_job(job)
+
+    monkeypatch.setattr(fileio, "_format_job", counting)
+    path = tmp_path / "trace.csv"
+    write_trace(str(path), trace_rows(fam, order, 2,
+                                      chain if annotated else None))
+    lines = expected[annotated].splitlines(keepends=True)
+    assert path.read_bytes() == b"".join(lines[:length + 1])
+    # the workers format every job in the pooled case, this process
+    # every job in the inline case
+    jobs = -(-length // fileio._JOB_ROWS)
+    assert len(formatted_here) == (jobs if cpus == 1 else 0)
+    assert multiprocessing.active_children() == []
+
+
+class _FailingSink:
+    def __init__(self, after):
+        self.left = after
+
+    def write(self, text):
+        self.left -= 1
+        if self.left < 0:
+            raise RuntimeError("sink full")
+        return len(text)
+
+
+def test_a_failing_sink_stops_the_workers(long_trace, monkeypatch):
+    fam, order, chain, _ = long_trace
+    _pin_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="sink full"):
+        emit_trace(trace_rows(fam, order, 2, chain), _FailingSink(10_000))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_exits_early_is_an_error(long_trace, monkeypatch):
+    fam, order, chain, _ = long_trace
+    _pin_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def exit_at_once(job):
+        if os.getpid() == parent:
+            raise AssertionError("a pooled trace was formatted inline")
+        os._exit(3)
+
+    monkeypatch.setattr(fileio, "_format_job", exit_at_once)
+    with pytest.raises(EOFError):
+        emit_trace(trace_rows(fam, order, 2, chain), io.StringIO())
+    assert multiprocessing.active_children() == []
 
 
 def test_certificate_roundtrip_preserves_everything(small_chain, tmp_path):
