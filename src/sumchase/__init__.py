@@ -23,13 +23,12 @@ from .errors import (BudgetExhaustedError, DisagreementError,
                      SumchaseError)
 from .fileio import (parse_certificate, parse_spec_file, trace_rows,
                      write_certificate, write_trace)
-from .rearrange import (PrefixPlan, TargetVector, chase_target, cover_indices,
+from .rearrange import (PrefixPlan, chase_target, cover_indices,
                         plan_from_injection, riemann_rearrange,
                         select_block_indices, verify_prefix)
 from .series import (FamilyVector, SeriesSpec, abs_power, classical_sum,
                      composite, family, is_conditionally_convergent,
-                     negative_part_sum, partial_sum, partial_sum_vector,
-                     positive_part_sum, power_alternating,
+                     partial_sum, partial_sum_vector, power_alternating,
                      rademacher_harmonic, tail_sup_bound, term, vector_term)
 from .subspace import (AffineSumRange, CoefficientVector,
                        DependencyStructure, dependency_decompose,
@@ -44,18 +43,17 @@ __all__ = [
     "ConfinementResult", "ConstantSchedule", "DependencyStructure",
     "DisagreementError", "FamilyVector", "InfeasibleEtaError", "InputError",
     "PreconditionError", "PrefixPlan", "SearchError", "SeriesSpec",
-    "SizeLimitError", "StructureError", "SumchaseError", "TargetVector",
+    "SizeLimitError", "StructureError", "SumchaseError",
     "VerificationReport", "abs_power", "brute_force_confine",
     "certified_le", "certified_lt", "chase_target", "classical_sum",
     "composite", "confine_with_anchor", "confine_zero_sum", "cover_indices",
     "dependency_decompose", "extend", "extend_detail", "family",
     "growth_statistics", "initial_condition", "is_condition",
     "is_conditionally_convergent", "k_space_basis", "leq",
-    "membership_check", "negative_part_sum", "order_with_threshold",
-    "parse_certificate", "parse_spec_file", "partial_sum",
-    "partial_sum_vector", "plan_from_injection", "positive_part_sum",
-    "power_alternating", "predicted_dependent_limit", "prefix_norms",
-    "published_constant", "r_space", "rademacher_harmonic",
+    "membership_check", "order_with_threshold", "parse_certificate",
+    "parse_spec_file", "partial_sum", "partial_sum_vector",
+    "plan_from_injection", "power_alternating", "predicted_dependent_limit",
+    "prefix_norms", "published_constant", "r_space", "rademacher_harmonic",
     "riemann_rearrange", "run", "select_block_indices", "sum_range",
     "tail_sup_bound", "term", "trace_rows", "vector_term",
     "verify_certificate", "verify_prefix", "write_certificate",

@@ -146,17 +146,17 @@ def _cmd_rearrange(args, schedule) -> int:
 def _cmd_extend_run(args, schedule) -> int:
     fam = _single_family(args.spec)
     targets = _parse_floats(args.targets, "--targets")
-    chain, plan = run_chain(fam, targets, args.rounds, budget=args.budget,
-                            schedule=schedule)
+    chain, report = run_chain(fam, targets, args.rounds, budget=args.budget,
+                              schedule=schedule)
     schedule_values = schedule.values if schedule is not None else ()
     write_certificate(args.cert, chain, targets, schedule_values)
+    final = chain.final()
     if args.trace:
-        final = chain.final()
         write_trace(args.trace,
                     trace_rows(fam, final.injection, final.dim, chain))
-    final = chain.final()
     print(f"rounds={args.rounds} dim={final.dim} eps={final.eps} "
-          f"length={len(final.injection)} deviation={plan.deviation!r}")
+          f"length={len(final.injection)} "
+          f"deviation={report.bullet('deviation').value!r}")
     return 0
 
 

@@ -40,10 +40,10 @@ import numpy as np
 from .confinement import ConstantSchedule, DEFAULT_SCHEDULE
 from .errors import (BudgetExhaustedError, InfeasibleEtaError, InputError,
                      PreconditionError, SearchError)
-from .rearrange import (PrefixPlan, lane_modulus, order_block_lanes,
-                        plan_from_injection, select_block_indices,
-                        widest_lane_dim)
-from .series import FamilyVector, partial_sum_vector, tail_sup_bound, vector_terms
+from .rearrange import (block_statistics, lane_modulus, order_block_lanes,
+                        select_block_indices, widest_lane_dim)
+from .series import (FamilyVector, index_problems, partial_sum_vector,
+                     tail_sup_bound, vector_terms)
 
 #: Margin subtracted from every strict certified comparison, absorbing
 #: float rounding in the measured quantity.
@@ -142,9 +142,10 @@ def is_condition(cond: Condition, fam: FamilyVector, targets,
     targets_t = _targets_tuple(targets)
     bullets: list[BulletCheck] = []
     inj = cond.injection
-    repeats = len(inj) - len(set(inj))
-    dup_free = repeats == 0 and all(i >= 0 for i in inj)
-    bullets.append(BulletCheck("injective", dup_free, float(repeats), 0.0))
+    used, problems = index_problems(inj)
+    dup_free = not problems
+    bullets.append(BulletCheck("injective", dup_free, float(len(problems)),
+                               0.0, note=",".join(problems)))
     dims_ok = 1 <= cond.dim <= len(fam) and cond.dim <= len(targets_t)
     bullets.append(BulletCheck("dimension", dims_ok, float(cond.dim),
                                float(min(len(fam), len(targets_t)))))
@@ -153,7 +154,7 @@ def is_condition(cond: Condition, fam: FamilyVector, targets,
     if not (dup_free and dims_ok):
         return ConditionReport(False, tuple(bullets))
     d = cond.dim
-    sums = partial_sum_vector(fam, inj, d)
+    sums = partial_sum_vector(fam, used, d)
     deviation = float(np.linalg.norm(sums - np.array(targets_t[:d])))
     bullets.append(BulletCheck("deviation", certified_lt(deviation, cond.eps),
                                deviation, float(cond.eps)))
@@ -162,7 +163,6 @@ def is_condition(cond: Condition, fam: FamilyVector, targets,
     # a mask rather than np.setdiff1d, whose hash-based unique is about
     # 50 times slower on chain-sized injections
     free = np.ones(max(cutoff, 0), dtype=bool)
-    used = np.array(inj, dtype=np.int64)
     free[used[used < cutoff]] = False
     unused = np.flatnonzero(free)
     if unused.size:
@@ -196,11 +196,8 @@ def leq(lower: Condition, upper: Condition,
     d = upper.dim
     two_eps = 2 * upper.eps
     block = lower.injection[k:] if extends else ()
-    # Against a zero target, deviation is the block sum's norm and
-    # max_excursion its largest prefix norm.  The target spans the whole
-    # family so that it is cut to the same length as the sums.
-    stats = plan_from_injection(fam, block, (0.0,) * len(fam), d)
-    prefix_max, block_norm = stats.max_excursion, stats.deviation
+    sums, prefix_max = block_statistics(fam, block, d)
+    block_norm = float(np.linalg.norm(sums))
     bullets.append(BulletCheck(
         "block-prefixes",
         certified_lt(prefix_max, two_eps) if prefix_max > 0.0 else 0 < two_eps,
@@ -271,8 +268,7 @@ def _attempt_extension(cond: Condition, n: int, fam: FamilyVector,
     if appended > budget:
         raise BudgetExhaustedError(
             f"extension block of {appended} indices exceeds the remaining "
-            f"budget of {budget}",
-            best=plan_from_injection(fam, cond.injection, targets[:d], d))
+            f"budget of {budget}", best=cond)
     # the link's block-prefixes bullet needs every running sum below
     # 2 * eps; the 2% margin keeps that certified comparison clear
     limit = float(2 * cond.eps) * 0.98
@@ -295,7 +291,8 @@ def extend_detail(cond: Condition, n: int, fam: FamilyVector, targets,
 
     ``budget`` (nonnegative) caps the indices appended, summed over the
     ``delta`` attempts.  Returns the new condition together with the refinement
-    evidence.
+    evidence.  When a block would exceed the budget, BudgetExhaustedError
+    carries the input condition ``cond`` as ``best``.
     """
     schedule = schedule or DEFAULT_SCHEDULE
     targets_t = _targets_tuple(targets)
@@ -388,14 +385,17 @@ def initial_condition(fam: FamilyVector, targets,
 def run(fam: FamilyVector, targets, rounds: int, seed: int = 0,
         budget: int = 10 ** 7,
         schedule: ConstantSchedule | None = None
-        ) -> tuple[CertificateChain, PrefixPlan]:
+        ) -> tuple[CertificateChain, ConditionReport]:
     """Drive ``rounds`` extension steps from the initial condition.
 
     After round ``r`` the active dimension is ``r + 1``, the tolerance is
     below ``1/r``, and indices ``0..r-1`` appear in both the domain and
     the range of the injection.  Returns the full chain and the final
-    injection as a plan.  ``seed`` is ignored: the extension step draws
-    no random numbers.
+    condition's check, ``chain.condition_reports[-1]``, whose
+    ``deviation`` bullet is the final injection's distance from the
+    targets.  ``seed`` is ignored: the extension step draws no random
+    numbers.  When a round runs out of budget, BudgetExhaustedError
+    carries the chain built so far as ``best``.
     """
     del seed
     schedule = schedule or DEFAULT_SCHEDULE
@@ -430,7 +430,4 @@ def run(fam: FamilyVector, targets, rounds: int, seed: int = 0,
         links.append(detail.link)
         reports.append(detail.check)
     chain = CertificateChain(tuple(conditions), tuple(links), tuple(reports))
-    final = chain.final()
-    plan = plan_from_injection(fam, final.injection, targets_t[:final.dim],
-                               final.dim)
-    return chain, plan
+    return chain, chain.condition_reports[-1]

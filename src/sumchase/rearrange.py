@@ -36,38 +36,25 @@ import numpy as np
 
 from .errors import (BudgetExhaustedError, InputError, PreconditionError,
                      StructureError)
-from .series import (FamilyVector, SeriesSpec, is_conditionally_convergent,
-                     partial_sum_vector, reduce_spec, term, vector_terms)
+from .series import (FamilyVector, SeriesSpec, index_problems,
+                     is_conditionally_convergent, partial_sum_vector,
+                     reduce_spec, term, vector_terms)
 
 _DEFAULT_MAX_ROUNDS = 48
 
 
-@dataclass(frozen=True)
-class TargetVector:
-    """Per-series target sums for the active dimensions."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise InputError("target vector must have at least one entry")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise InputError(f"target entries must be finite, got {v!r}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=np.float64)
-
-
-def _as_target(target) -> TargetVector:
-    if isinstance(target, TargetVector):
-        return target
+def _as_target(target) -> np.ndarray:
+    """Per-series target sums, from a number or a nonempty sequence of
+    finite numbers."""
     if isinstance(target, (int, float)):
-        return TargetVector((float(target),))
-    return TargetVector(tuple(float(v) for v in target))
+        target = (target,)
+    values = tuple(float(v) for v in target)
+    if not values:
+        raise InputError("target vector must have at least one entry")
+    for v in values:
+        if not math.isfinite(v):
+            raise InputError(f"target entries must be finite, got {v!r}")
+    return np.array(values, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -78,13 +65,17 @@ class PrefixPlan:
     against, measured in the dimensions that were active at build time;
     ``max_excursion`` is the largest norm any running partial-sum vector
     reached.  Both are derived values: verify_prefix recomputes them from
-    the injection alone.
+    the injection alone.  ``used_set``, the injection's range, is built
+    from ``injection`` on every access.
     """
 
     injection: tuple[int, ...]
     deviation: float
     max_excursion: float
-    used_set: frozenset[int]
+
+    @property
+    def used_set(self) -> frozenset[int]:
+        return frozenset(self.injection)
 
     def __len__(self) -> int:
         return len(self.injection)
@@ -94,20 +85,27 @@ class PrefixPlan:
         return len(self.injection) >= k and self.injection[:k] == other.injection
 
 
+def block_statistics(fam: FamilyVector, indices: Sequence[int],
+                     dim: int) -> tuple[np.ndarray, float]:
+    """Coordinate sums of the terms at ``indices`` over the first ``dim``
+    series (``partial_sum_vector``), and the largest norm of their
+    running sums in the listed order (0.0 for no indices)."""
+    sums = partial_sum_vector(fam, indices, dim)
+    if not len(indices):
+        return sums, 0.0
+    running = np.cumsum(vector_terms(fam, indices, dim), axis=0)
+    return sums, float(np.linalg.norm(running, axis=1).max())
+
+
 def plan_from_injection(fam: FamilyVector, injection: Sequence[int],
                         target, dim: int | None = None) -> PrefixPlan:
     """Canonical plan builder: all statistics recomputed from the series."""
-    tv = _as_target(target)
-    dim = len(tv) if dim is None else dim
+    goal = _as_target(target)
+    dim = len(goal) if dim is None else dim
     inj = tuple(map(int, injection))
-    sums = partial_sum_vector(fam, inj, dim)
-    deviation = float(np.linalg.norm(sums - tv.as_array()[:dim]))
-    if inj:
-        running = np.cumsum(vector_terms(fam, inj, dim), axis=0)
-        max_excursion = float(np.linalg.norm(running, axis=1).max())
-    else:
-        max_excursion = 0.0
-    return PrefixPlan(inj, deviation, max_excursion, frozenset(inj))
+    sums, max_excursion = block_statistics(fam, inj, dim)
+    deviation = float(np.linalg.norm(sums - goal[:dim]))
+    return PrefixPlan(inj, deviation, max_excursion)
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +264,15 @@ def _axis_pairs(signs: Sequence[tuple[int, ...]], axis: int,
 def _projected_depth(frontier: float, mass: float, modulus: int,
                      p: float) -> float:
     """Index depth reached by drawing ``mass`` from a lane at ``frontier``."""
-    if p == 1.0:
-        return frontier * math.exp(modulus * mass)
-    shifted = frontier ** (1.0 - p) + (1.0 - p) * modulus * mass
-    if shifted <= 0.0:
+    try:
+        if p == 1.0:
+            return frontier * math.exp(modulus * mass)
+        shifted = frontier ** (1.0 - p) + (1.0 - p) * modulus * mass
+        if shifted <= 0.0:
+            return math.inf
+        return shifted ** (1.0 / (1.0 - p))
+    except OverflowError:  # wide lane moduli: deeper than any float
         return math.inf
-    return shifted ** (1.0 / (1.0 - p))
 
 
 _FILL_CHUNKS = 96
@@ -538,11 +539,11 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
     as a prefix.  Raises BudgetExhaustedError carrying the best plan when
     the budget or round limit runs out.
     """
-    tv = _as_target(target)
-    dim = len(tv) if dim is None else dim
+    goal = _as_target(target)
+    dim = len(goal) if dim is None else dim
     if not 1 <= dim <= len(fam):
         raise InputError(f"active dimension {dim} outside the family")
-    if len(tv) < dim:
+    if len(goal) < dim:
         raise InputError("target shorter than the active dimension")
     _check_eps_budget(eps, budget)
     injection = list(base.injection) if base is not None else []
@@ -550,7 +551,7 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
     if base is not None and len(used) != len(injection):
         raise PreconditionError("base plan has duplicate indices")
     rng = random.Random(seed)
-    goal = tv.as_array()[:dim]
+    goal = goal[:dim]
     lanes_ok = _lane_structure(fam, dim) is not None
     if not lanes_ok and dim > 1:
         raise StructureError(
@@ -569,7 +570,7 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
         if dev < best_dev:
             best_dev, best_len = dev, len(injection)
         if dev < eps * 0.95:
-            return plan_from_injection(fam, injection, tv, dim)
+            return plan_from_injection(fam, injection, goal, dim)
         if lanes_ok:
             picks = select_block_indices(fam, dim, residual, used, eps / 4.0,
                                          boosts=boosts)
@@ -583,7 +584,7 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
             if appended > budget:
                 raise BudgetExhaustedError(
                     f"block selection exceeded the budget of {budget} terms",
-                    best=plan_from_injection(fam, injection[:best_len], tv,
+                    best=plan_from_injection(fam, injection[:best_len], goal,
                                              dim))
             injection.extend(order_block(fam, picks, dim))
         stalled = not picks or dev > prev_dev * 0.9
@@ -593,7 +594,7 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
     raise BudgetExhaustedError(
         f"no plan within eps={eps!r} after {_DEFAULT_MAX_ROUNDS} rounds "
         f"(best deviation {best_dev!r})",
-        best=plan_from_injection(fam, injection[:best_len], tv, dim))
+        best=plan_from_injection(fam, injection[:best_len], goal, dim))
 
 
 def cover_indices(fam: FamilyVector, plan: PrefixPlan, n: int, target,
@@ -607,15 +608,16 @@ def cover_indices(fam: FamilyVector, plan: PrefixPlan, n: int, target,
     no such bound.  The deviation of the result is whatever the covering
     forces it to be; chase the target again afterwards if it matters.
     """
-    tv = _as_target(target)
-    dim = len(tv) if dim is None else dim
+    goal = _as_target(target)
+    dim = len(goal) if dim is None else dim
     if n < 0:
         raise InputError("cover bound must be nonnegative")
-    missing = [m for m in range(n) if m not in plan.used_set]
+    used = plan.used_set
+    missing = [m for m in range(n) if m not in used]
     if not missing:
         return plan
     injection = list(plan.injection) + order_block(fam, missing, dim)
-    return plan_from_injection(fam, injection, tv, dim)
+    return plan_from_injection(fam, injection, goal, dim)
 
 
 @dataclass(frozen=True)
@@ -634,22 +636,19 @@ def verify_prefix(fam: FamilyVector, plan: PrefixPlan, target,
     """Recompute a plan's statistics from the series and flag violations.
 
     Never raises for a malformed plan; every problem becomes a flag.
+    Indices that are negative, repeated or outside int64 are flagged
+    ``negative-index``, ``duplicate-index`` or ``out-of-range-index``,
+    and the plan's own statistics are then reported unchecked.
     """
-    tv = _as_target(target)
-    dim = len(tv) if dim is None else dim
-    flags: list[str] = []
+    goal = _as_target(target)
+    dim = len(goal) if dim is None else dim
     inj = plan.injection
-    if any(i < 0 for i in inj):
-        flags.append("negative-index")
-    if len(set(inj)) != len(inj):
-        flags.append("duplicate-index")
-    indices_ok = not flags
-    if plan.used_set != frozenset(inj):
-        flags.append("used-set-mismatch")
+    _, problems = index_problems(inj)
+    flags = [f"{problem}-index" for problem in problems]
     deviation = plan.deviation
     max_excursion = plan.max_excursion
-    if indices_ok:
-        fresh = plan_from_injection(fam, inj, tv, dim)
+    if not flags:
+        fresh = plan_from_injection(fam, inj, goal, dim)
         deviation, max_excursion = fresh.deviation, fresh.max_excursion
         if abs(deviation - plan.deviation) > 1e-12:
             flags.append("deviation-mismatch")

@@ -273,13 +273,34 @@ def vector_terms(fam: FamilyVector, ms: Sequence[int],
 # Partial sums
 # ---------------------------------------------------------------------------
 
-def _check_indices(indices: Sequence[int]) -> np.ndarray:
-    ms = np.asarray(indices, dtype=np.int64)
+def index_problems(indices: Sequence[int]
+                   ) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The indices as an int64 array, and what keeps them from being an
+    injection's range: ``"out-of-range"`` (an entry outside int64; the
+    array is then empty), ``"negative"`` and ``"duplicate"``.
+
+    Never raises for bad entries; duplicates are found by sorting and
+    comparing neighbours, which is far faster than ``np.unique`` on
+    chain-sized index lists.
+    """
+    try:
+        ms = np.asarray(indices, dtype=np.int64)
+    except OverflowError:
+        return np.empty(0, dtype=np.int64), ("out-of-range",)
+    problems = []
     if ms.size and int(ms.min()) < 0:
-        raise InputError("indices must be nonnegative")
+        problems.append("negative")
     ordered = np.sort(ms, axis=None)
     if (ordered[1:] == ordered[:-1]).any():
-        raise InputError("duplicate index in partial sum")
+        problems.append("duplicate")
+    return ms, tuple(problems)
+
+
+def _check_indices(indices: Sequence[int]) -> np.ndarray:
+    ms, problems = index_problems(indices)
+    if problems:
+        raise InputError(f"partial sum indices must be distinct, "
+                         f"nonnegative int64 values ({problems[0]})")
     return ms
 
 
@@ -534,29 +555,3 @@ def classical_sum(spec: SeriesSpec, precision: float,
             continue
         total += coeff * _abs_power_partial(part, share / abs(coeff), tracker)
     return total
-
-
-# ---------------------------------------------------------------------------
-# Divergence witnesses
-# ---------------------------------------------------------------------------
-
-def _signed_part_sum(spec: SeriesSpec, n: int, want_positive: bool) -> float:
-    total = 0.0
-    for start in range(0, n, _CHUNK):
-        ms = np.arange(start, min(start + _CHUNK, n), dtype=np.int64)
-        values = term_array(spec, ms)
-        if want_positive:
-            total += float(values[values > 0.0].sum())
-        else:
-            total += float(-values[values < 0.0].sum())
-    return total
-
-
-def positive_part_sum(spec: SeriesSpec, n: int) -> float:
-    """Sum of the positive terms among the first ``n``."""
-    return _signed_part_sum(spec, n, True)
-
-
-def negative_part_sum(spec: SeriesSpec, n: int) -> float:
-    """Sum of the magnitudes of the negative terms among the first ``n``."""
-    return _signed_part_sum(spec, n, False)

@@ -63,10 +63,11 @@ def triple_family() -> FamilyVector:
 def small_chain(rad_pair):
     """One-round chain on the level-0/1 pair; cheap enough for unit tests.
 
-    Returns (family, targets, chain, plan, elapsed_seconds).
+    Returns (family, targets, chain, final_report, elapsed_seconds), where
+    final_report is run's check of the final condition.
     """
     targets = (0.1, -0.2)
     start = time.perf_counter()
-    chain, plan = run(rad_pair, targets, 1, seed=3, budget=10 ** 6)
+    chain, report = run(rad_pair, targets, 1, seed=3, budget=10 ** 6)
     elapsed = time.perf_counter() - start
-    return rad_pair, targets, chain, plan, elapsed
+    return rad_pair, targets, chain, report, elapsed

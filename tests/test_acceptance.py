@@ -52,16 +52,16 @@ def rad4() -> FamilyVector:
 @pytest.fixture(scope="module")
 def chain_main(rad4):
     start = time.perf_counter()
-    chain, plan = run(rad4, CHAIN_TARGETS, CHAIN_ROUNDS, seed=CHAIN_SEED,
-                      budget=CHAIN_BUDGET)
-    return chain, plan, time.perf_counter() - start
+    chain, _ = run(rad4, CHAIN_TARGETS, CHAIN_ROUNDS, seed=CHAIN_SEED,
+                   budget=CHAIN_BUDGET)
+    return chain, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def chain_repeat(rad4):
-    chain, plan = run(rad4, CHAIN_TARGETS, CHAIN_ROUNDS, seed=CHAIN_SEED,
-                      budget=CHAIN_BUDGET)
-    return chain, plan
+    chain, _ = run(rad4, CHAIN_TARGETS, CHAIN_ROUNDS, seed=CHAIN_SEED,
+                   budget=CHAIN_BUDGET)
+    return chain
 
 
 def build_pair_cover_plan(seed: int = 11):
@@ -159,7 +159,7 @@ def test_criterion_3_anchored_bound():
 
 
 def test_criterion_4_chain_soundness(rad4, chain_main, tmp_path):
-    chain, plan, elapsed = chain_main
+    chain, elapsed = chain_main
     with criterion(4, "certified chain soundness") as note:
         cert = tmp_path / "chain.cert"
         spec = write_family_file(tmp_path / "rad4.json", [RAD4_ENTRIES])
@@ -182,7 +182,7 @@ def test_criterion_4_chain_soundness(rad4, chain_main, tmp_path):
 
 
 def test_criterion_5_block_envelope(rad4, chain_main):
-    chain, _, _ = chain_main
+    chain, _ = chain_main
     with criterion(5, "block sums stay inside twice the tolerance") as note:
         final = chain.final()
         tightest = math.inf
@@ -301,8 +301,8 @@ def test_criterion_7_dimension_law():
 
 
 def test_criterion_8_determinism(rad4, chain_main, chain_repeat, tmp_path):
-    chain_a, _, _ = chain_main
-    chain_b, _ = chain_repeat
+    chain_a, _ = chain_main
+    chain_b = chain_repeat
     with criterion(8, "same seeds, same bytes") as note:
         alt = family(power_alternating(1.0))
         plan_one = riemann_rearrange(alt[0], 0.25, 1e-3, budget=10 ** 6)

@@ -80,6 +80,20 @@ def test_rearrange_multi_target_pair(tmp_path, capsys):
     assert "length=" in capsys.readouterr().out
 
 
+def test_rearrange_on_a_wide_lane_modulus(tmp_path, capsys):
+    # a level-12 sign pattern splits the indices into 2**13 residue lanes,
+    # so a lane's projected depth leaves the float range
+    spec = write_family_file(tmp_path / "wide.json", [[
+        {"kind": "rademacher_harmonic", "level": 0},
+        {"kind": "rademacher_harmonic", "level": 12}]])
+    code = main(["rearrange", "--spec", spec, "--targets", "0.1,0.2",
+                 "--eps", "0.01"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    assert captured.out.startswith("length=")
+
+
 def test_rearrange_refuses_absolutely_convergent_specs(tmp_path, capsys):
     spec = write_family_file(tmp_path / "abs.json",
                              [[{"kind": "abs_power", "exponent": 2.0}]])

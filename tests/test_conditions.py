@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sumchase import (Condition, InputError, PreconditionError, certified_le,
-                      certified_lt, composite, extend, extend_detail, family,
+from sumchase import (BudgetExhaustedError, Condition, InputError,
+                      PreconditionError, certified_le, certified_lt,
+                      composite, extend, extend_detail, family,
                       initial_condition, is_condition, leq,
-                      rademacher_harmonic, run)
+                      plan_from_injection, rademacher_harmonic, run)
 from sumchase import conditions
 from sumchase.certcheck import verify_data
 from sumchase.conditions import TAIL_CUTOFF_SPAN
@@ -59,6 +60,13 @@ def test_condition_check_flags_duplicates():
     report = is_condition(cond, PAIR, TARGETS)
     assert not report.ok
     assert not report.bullet("injective").ok
+
+
+def test_condition_check_flags_indices_outside_int64():
+    cond = Condition((0, 2 ** 63), 1, Fraction(3))
+    report = is_condition(cond, PAIR, TARGETS)
+    assert report.first_failure() == "injective"
+    assert report.bullet("injective").note == "out-of-range"
 
 
 def test_condition_check_flags_excessive_deviation():
@@ -116,6 +124,16 @@ def test_order_measures_blocks_in_the_dimensions_the_family_has():
     assert link.bullet("tolerance-step").value == last_prefix
 
 
+def test_link_norms_equal_the_block_plan_bit_for_bit(small_chain):
+    fam, _, chain, _, _ = small_chain
+    upper, lower = chain.conditions
+    link = leq(lower, upper, fam)
+    block = lower.injection[len(upper.injection):]
+    plan = plan_from_injection(fam, block, (0.0,) * len(fam), upper.dim)
+    assert link.bullet("block-prefixes").value == plan.max_excursion
+    assert link.bullet("tolerance-step").value == plan.deviation
+
+
 def test_order_rejects_non_extensions(small_chain):
     fam, targets, chain, _, _ = small_chain
     upper = chain.conditions[1]
@@ -164,6 +182,13 @@ def test_a_failed_ordering_halves_delta_and_retries(monkeypatch):
     assert detail.condition.eps == plain.condition.eps / 2
 
 
+def test_an_exhausted_budget_carries_the_input_condition():
+    base = initial_condition(PAIR, TARGETS)
+    with pytest.raises(BudgetExhaustedError) as info:
+        extend_detail(base, 2, PAIR, TARGETS, budget=10)
+    assert info.value.best is base
+
+
 def test_extension_is_deterministic():
     base = initial_condition(PAIR, TARGETS)
     one = extend(base, 2, PAIR, TARGETS, budget=10 ** 6)
@@ -188,7 +213,7 @@ def test_extension_rejects_invalid_inputs():
 
 
 def test_chain_run_produces_a_descending_chain(small_chain):
-    fam, targets, chain, plan, _ = small_chain
+    fam, targets, chain, report, _ = small_chain
     assert len(chain.conditions) == 2
     assert chain.conditions[0].injection == ()
     assert [c.dim for c in chain.conditions] == [1, 2]
@@ -196,11 +221,11 @@ def test_chain_run_produces_a_descending_chain(small_chain):
     assert chain.conditions[1].eps <= Fraction(1)
     assert all(link.ok for link in chain.checks)
     assert all(rep.ok for rep in chain.condition_reports)
-    assert plan.injection == chain.final().injection
+    assert report is chain.condition_reports[-1]
 
 
 def test_chain_deviation_lands_inside_the_final_tolerance(small_chain):
-    fam, targets, chain, plan, _ = small_chain
+    fam, targets, chain, _, _ = small_chain
     final = chain.final()
     sums = partial_sum_vector(fam, final.injection, final.dim)
     gap = max(abs(float(s) - t) for s, t in zip(sums, targets[:final.dim]))
@@ -229,10 +254,11 @@ def test_run_validates_round_counts():
 
 
 def test_zero_rounds_returns_just_the_initial_condition():
-    chain, plan = run(PAIR, TARGETS, 0)
+    chain, report = run(PAIR, TARGETS, 0)
     assert len(chain.conditions) == 1
     assert chain.checks == ()
-    assert plan.injection == ()
+    assert chain.final().injection == ()
+    assert report is chain.condition_reports[-1]
 
 
 def test_chain_on_a_scaled_lane_family_verifies(tmp_path):

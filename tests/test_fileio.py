@@ -89,7 +89,7 @@ def test_trace_rows_replay_the_running_sums():
 
 
 def test_trace_rows_annotate_chain_stages(small_chain):
-    fam, targets, chain, plan, _ = small_chain
+    fam, targets, chain, _, _ = small_chain
     rows = trace_rows(fam, chain.final().injection, 2, chain)
     first = next(rows)
     # the empty initial condition owns no steps, so the first round's

@@ -199,10 +199,26 @@ def test_verify_prefix_recomputes_the_deviation():
 
 def test_verify_prefix_flags_duplicates_instead_of_raising():
     fam = family(rademacher_harmonic(0))
-    broken = PrefixPlan((0, 0, 1), 0.0, 0.0, frozenset({0, 1}))
+    broken = PrefixPlan((0, 0, 1), 0.0, 0.0)
     report = verify_prefix(fam, broken, 0.0)
     assert not report.ok
     assert "duplicate-index" in report.flags
+
+
+def test_verify_prefix_flags_indices_outside_int64():
+    fam = family(rademacher_harmonic(0))
+    broken = PrefixPlan((0, 2 ** 63), 0.0, 0.0)
+    report = verify_prefix(fam, broken, 0.0)
+    assert report.flags == ("out-of-range-index",)
+    assert (report.deviation, report.max_excursion) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("p, mass", [(1.0, 0.1), (0.99, 20.0)],
+                         ids=["exp", "power"])
+def test_projected_depth_saturates_instead_of_overflowing(p, mass):
+    # a level-12 sign pattern has a lane modulus of 2**13
+    assert rearrange._projected_depth(1.0, mass, 1 << 13, p) == math.inf
+    assert math.isfinite(rearrange._projected_depth(1.0, mass, 4, p))
 
 
 def test_block_selection_stays_disjoint_from_used_indices():
