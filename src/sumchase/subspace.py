@@ -9,11 +9,11 @@ attainable set is the classical-sum vector plus that complement.
 
 Specs declare their structure, so the kernel has an exact description:
 reduce every spec to its dyadic sign-pattern components; a combination is
-absolutely convergent precisely when the pattern components cancel.  That
-turns kernel computation into exact rational linear algebra over the
-pattern matrix.  A numerical growth test cross-checks the declared
-structure and raises DisagreementError instead of silently trusting
-either side.
+absolutely convergent precisely when the pattern components cancel.  One
+exact rational elimination over those pattern vectors, run in spec order,
+yields both the kernel basis and the dependency decomposition.  A
+numerical growth test cross-checks the declared structure and raises
+DisagreementError instead of silently trusting either side.
 """
 from __future__ import annotations
 
@@ -88,43 +88,51 @@ def _pattern_vector(spec: SeriesSpec) -> dict[tuple[int, float], Fraction]:
     return {(lv, p): Fraction(c) for lv, p, c in reduce_spec(spec).patterns}
 
 
-def _pattern_matrix(fam: FamilyVector, dim: int):
-    keys = sorted({k for spec in fam.specs[:dim]
-                   for k in _pattern_vector(spec)})
-    columns = [_pattern_vector(spec) for spec in fam.specs[:dim]]
-    matrix = [[columns[j].get(k, Fraction(0)) for j in range(dim)]
-              for k in keys]
-    return keys, matrix
+def _eliminate(fam: FamilyVector, dim: int
+               ) -> tuple[list[int], dict[int, dict[int, Fraction]]]:
+    """The one exact elimination over the pattern vectors of the leading
+    ``dim`` specs, run greedily in spec order.
 
-
-def _nullspace(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    rows = [row[:] for row in matrix]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0),
-                         None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    basis: list[list[Fraction]] = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][free]
-        basis.append(vec)
-    return basis
+    Returns the independent indices and, for each dependent j (in
+    ascending order), its relation: exact weights over j and earlier
+    independents, with weight 1 at j, whose pattern components cancel.
+    Spec order makes the result for ``dim`` the prefix of the result for
+    any larger dimension.
+    """
+    independents: list[int] = []
+    lead_keys: list[tuple[int, float]] = []
+    rref_rows: list[dict[tuple[int, float], Fraction]] = []
+    transforms: list[dict[int, Fraction]] = []
+    relations: dict[int, dict[int, Fraction]] = {}
+    for j, spec in enumerate(fam.specs[:dim]):
+        residue = _pattern_vector(spec)
+        combo: dict[int, Fraction] = {j: Fraction(1)}
+        for r, lk in enumerate(lead_keys):
+            f = residue.get(lk)
+            if not f:
+                continue
+            for key, val in rref_rows[r].items():
+                new = residue.get(key, Fraction(0)) - f * val
+                if new:
+                    residue[key] = new
+                else:
+                    residue.pop(key, None)
+            for k, val in transforms[r].items():
+                new = combo.get(k, Fraction(0)) - f * val
+                if new:
+                    combo[k] = new
+                else:
+                    combo.pop(k, None)
+        if residue:
+            lk = min(residue)
+            pv = residue[lk]
+            lead_keys.append(lk)
+            rref_rows.append({k: v / pv for k, v in residue.items()})
+            transforms.append({k: v / pv for k, v in combo.items()})
+            independents.append(j)
+        else:
+            relations[j] = combo
+    return independents, relations
 
 
 def _normalize_exact(vec: list[Fraction]) -> list[Fraction]:
@@ -175,6 +183,11 @@ def growth_statistics(fam: FamilyVector, coeffs: Sequence[float],
     if truncation < 4:
         raise InputError("truncation too small for a meaningful growth test")
     dim = len(coeffs)
+    if not 1 <= dim <= len(fam):
+        raise InputError(f"{dim} coefficients for a family of {len(fam)} "
+                         f"series")
+    if not all(math.isfinite(c) for c in coeffs):
+        raise InputError("coefficients must be finite")
     half = truncation // 2
     totals = [0.0, 0.0]
     for part, (lo, hi) in enumerate(((0, half), (half, truncation))):
@@ -206,18 +219,24 @@ def k_space_basis(fam: FamilyVector, dim: int | None = None,
                   ) -> list[CoefficientVector]:
     """Exact basis of the absolutely-convergent-combination space.
 
-    Derived from declared spec structure (pattern cancellation); the
-    numerical growth test runs as a cross-check on every basis vector and
-    every coordinate direction, and a conclusive conflict raises
-    DisagreementError.
+    Derived from declared spec structure (pattern cancellation) by the
+    same exact elimination that ``dependency_decompose`` runs: one vector
+    per dependent j of the leading ``dim`` series, in ascending j, its
+    relation cleared to coprime integers with a positive leading entry.
+    The elimination runs in spec order, so the basis for a leading
+    ``dim`` is the full basis restricted to the vectors supported below
+    ``dim``.  The numerical growth test runs as a cross-check on every
+    basis vector and every coordinate direction, and a conclusive
+    conflict raises DisagreementError.
     """
     dim = len(fam) if dim is None else dim
     if not 1 <= dim <= len(fam):
         raise InputError(f"dimension {dim} outside the family")
-    _, matrix = _pattern_matrix(fam, dim)
-    basis_exact = [_normalize_exact(v) for v in _nullspace(matrix, dim)]
-    basis = [CoefficientVector.from_dense([float(x) for x in vec])
-             for vec in basis_exact]
+    _, relations = _eliminate(fam, dim)
+    dense = [[combo.get(k, Fraction(0)) for k in range(dim)]
+             for combo in relations.values()]
+    basis = [CoefficientVector.from_dense(
+                 [float(x) for x in _normalize_exact(vec)]) for vec in dense]
     for cv in basis:
         stats = growth_statistics(fam, cv.as_array(dim), truncation)
         if stats.verdict(threshold) == "divergent":
@@ -225,8 +244,8 @@ def k_space_basis(fam: FamilyVector, dim: int | None = None,
                 f"declared kernel vector {cv.values} tests divergent "
                 f"(abs sum {stats.abs_sum:.6g} at N={truncation})")
     for i in range(dim):
-        # a unit vector lies in the nullspace exactly when its column of
-        # the pattern matrix is zero
+        # a unit vector lies in the kernel exactly when its series has no
+        # pattern components
         declared_member = not reduce_spec(fam[i]).patterns
         stats = growth_statistics(
             fam, [1.0 if j == i else 0.0 for j in range(dim)], truncation)
@@ -289,58 +308,33 @@ class DependencyStructure:
         """The absolutely convergent combination witnessing dependent j."""
         if j not in self.coefficients:
             raise InputError(f"series {j} is not a dependent")
-        terms = [(w, fam[k]) for k, w in self.coefficients[j]]
-        terms.append((1.0, fam[j]))
-        return composite(terms)
+        return _witness(fam, self.coefficients[j], j)
+
+
+def _witness(fam: FamilyVector, relation: Sequence[tuple[int, float]],
+             j: int) -> SeriesSpec:
+    return composite([(w, fam[k]) for k, w in relation] + [(1.0, fam[j])])
 
 
 def dependency_decompose(fam: FamilyVector,
                          precision: float = 1e-9) -> DependencyStructure:
     """Split a family into independent generators and dependent series.
 
-    Works greedily in spec order: a series whose pattern components are
-    spanned by earlier independents becomes a dependent, with exact
-    rational relation coefficients and a numerically summed constant.
+    Runs the one exact elimination (shared with ``k_space_basis``)
+    greedily in spec order: a series whose pattern components are spanned
+    by earlier independents becomes a dependent, with exact rational
+    relation coefficients and a numerically summed constant.  The
+    relations of the leading d series do not depend on the series after
+    them.
     """
-    independents: list[int] = []
-    lead_keys: list[tuple[int, float]] = []
-    rref_rows: list[dict[tuple[int, float], Fraction]] = []
-    transforms: list[dict[int, Fraction]] = []
-    coefficients: dict[int, tuple[tuple[int, float], ...]] = {}
-    abs_sums: dict[int, float] = {}
-    for j, spec in enumerate(fam.specs):
-        residue = _pattern_vector(spec)
-        combo: dict[int, Fraction] = {j: Fraction(1)}
-        for r, lk in enumerate(lead_keys):
-            f = residue.get(lk)
-            if not f:
-                continue
-            for key, val in rref_rows[r].items():
-                new = residue.get(key, Fraction(0)) - f * val
-                if new:
-                    residue[key] = new
-                else:
-                    residue.pop(key, None)
-            for k, val in transforms[r].items():
-                new = combo.get(k, Fraction(0)) - f * val
-                if new:
-                    combo[k] = new
-                else:
-                    combo.pop(k, None)
-        if residue:
-            lk = min(residue)
-            pv = residue[lk]
-            lead_keys.append(lk)
-            rref_rows.append({k: v / pv for k, v in residue.items()})
-            transforms.append({k: v / pv for k, v in combo.items()})
-            independents.append(j)
-        else:
-            relation = tuple(sorted((k, float(v)) for k, v in combo.items()
-                                    if k != j and v != 0))
-            coefficients[j] = relation
-            witness = composite([(w, fam[k]) for k, w in relation]
-                                + [(1.0, fam[j])])
-            abs_sums[j] = classical_sum(witness, precision)
+    if not precision > 0.0:
+        raise InputError(f"precision must be positive, got {precision!r}")
+    independents, relations = _eliminate(fam, len(fam))
+    coefficients = {j: tuple(sorted((k, float(v)) for k, v in combo.items()
+                                    if k != j))
+                    for j, combo in relations.items()}
+    abs_sums = {j: classical_sum(_witness(fam, relation, j), precision)
+                for j, relation in coefficients.items()}
     return DependencyStructure(tuple(independents), coefficients, abs_sums)
 
 

@@ -1,5 +1,6 @@
 """Kernel/complement algebra and dependency decomposition."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sumchase import (CoefficientVector, InputError, abs_power, composite,
                       k_space_basis, membership_check,
                       predicted_dependent_limit, r_space, rademacher_harmonic,
                       sum_range, term)
+from sumchase.series import reduce_spec
 
 ZETA2 = 1.6449340668482264
 
@@ -111,6 +113,15 @@ def test_relation_spec_rebuilds_the_absolute_witness():
         struct.relation_spec(fam, 0)
 
 
+@pytest.mark.parametrize("precision", [-1.0, 0.0, math.nan])
+def test_decomposition_rejects_a_nonpositive_precision(precision):
+    # a family without dependents sums nothing, so only an up-front check
+    # catches the bad value
+    with pytest.raises(InputError):
+        dependency_decompose(family(rademacher_harmonic(0)),
+                             precision=precision)
+
+
 def test_predicted_limit_shifts_with_the_achieved_sums():
     struct = dependency_decompose(triple())
     base = predicted_dependent_limit(struct, {0: 0.0, 1: 0.0}, 2)
@@ -145,6 +156,15 @@ def test_growth_statistics_rejects_tiny_truncations():
         growth_statistics(family(rademacher_harmonic(0)), [1.0], truncation=2)
 
 
+@pytest.mark.parametrize("coeffs", [[], [1.0, 0.0, 7.0], [math.nan, 0.0],
+                                    [0.0, -math.inf]],
+                         ids=["empty", "too-long", "nan", "inf"])
+def test_growth_statistics_rejects_bad_coefficients(coeffs):
+    fam = family(rademacher_harmonic(0), rademacher_harmonic(1))
+    with pytest.raises(InputError):
+        growth_statistics(fam, coeffs, truncation=1024)
+
+
 def test_sum_range_combines_offsets_and_directions():
     rng = sum_range(triple(), precision=1e-6)
     assert len(rng.offset) == 3
@@ -175,3 +195,43 @@ def test_dimension_split_for_free_families(d):
     basis = k_space_basis(fam)
     rows = r_space(basis, d)
     assert len(basis) + len(rows) == d
+
+
+@st.composite
+def small_families(draw):
+    """Rademacher series at a few levels and exponents, plus composites of
+    earlier series with small integer coefficients."""
+    specs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        if specs and draw(st.booleans()):
+            refs = draw(st.lists(st.integers(0, len(specs) - 1),
+                                 min_size=1, max_size=3, unique=True))
+            specs.append(composite(
+                [(draw(st.sampled_from((-2.0, -1.0, 1.0, 2.0))), specs[k])
+                 for k in refs]))
+        else:
+            specs.append(rademacher_harmonic(
+                draw(st.integers(0, 2)), draw(st.sampled_from((1.0, 0.75)))))
+    return family(*specs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_families())
+def test_kernel_basis_is_the_exact_pattern_kernel(fam):
+    full = k_space_basis(fam, truncation=256)
+    for cv in full:
+        ints = [int(v) for v in cv.values]
+        assert list(cv.values) == ints
+        assert math.gcd(*ints) == 1
+        assert ints[0] > 0
+        residue: dict = {}
+        for k, v in zip(cv.support, ints):
+            for level, p, c in reduce_spec(fam[k]).patterns:
+                residue[level, p] = (residue.get((level, p), Fraction(0))
+                                     + v * Fraction(c))
+        assert not any(residue.values())
+    for d in range(1, len(fam) + 1):
+        basis = k_space_basis(fam, d, truncation=256)
+        leading = dependency_decompose(family(*fam.specs[:d]))
+        assert len(basis) == d - len(leading.independent_set)
+        assert basis == [cv for cv in full if max(cv.support) < d]
