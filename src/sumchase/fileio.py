@@ -16,10 +16,14 @@ family is a list of series descriptions keyed by ``kind``:
 Output files are byte stable: floats are written with ``repr`` and lines
 end with a bare newline, so identical runs produce identical bytes.
 Traces are computed in this process and formatted in jobs of ``2**10``
-rows; a trace longer than ``2**16`` steps has its jobs formatted by
-forked worker processes when this process may use two or more CPUs,
-and its lines are still written in step order, so the bytes are the
-same either way (see :func:`emit_trace`).
+rows, column by column: a term column whose magnitudes equal those of an
+earlier column in the job reuses that column's ``repr`` strings and adds
+the signs, so a sign-pattern family with coefficients of ±1 formats one
+magnitude per row (see :func:`_format_job`).  A trace longer than
+``2**16`` steps has its jobs formatted by forked worker processes when
+this process may use two or more CPUs and is not itself a daemonic
+worker, and its lines are still written in step order, so the bytes are
+the same either way (see :func:`emit_trace`).
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ import json
 import math
 import os
 import signal
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
@@ -192,24 +197,45 @@ def _row_format(dim: int) -> str:
     return "%s,%s" + ",%r" * (2 * dim) + "%s"
 
 
-def _run_cells(job: _TraceJob, first: int, stop: int) -> Iterator[tuple]:
-    """``(step, index, terms, sums)`` of a job's rows ``first:stop``, as
-    Python numbers and lists."""
-    return zip(range(job.start + first, job.start + stop),
-               job.indices[first:stop].tolist(),
-               job.terms[first:stop].tolist(),
-               job.sums[first:stop].tolist())
+_SIGNS = ("", "-")
 
 
 def _format_job(job: _TraceJob) -> list[str]:
-    """The CSV lines of one job, each ending in a bare newline."""
-    row_format = _row_format(job.terms.shape[1])
+    """The CSV lines of one job, each ending in a bare newline.
+
+    The bytes are those of :func:`_row_format` applied row by row, but the
+    text is built column by column.  Each term column is written as the
+    ``repr`` of its magnitude with ``"-"`` in front where the sign bit is
+    set (``repr(-x) == "-" + repr(x)`` for every float but NaN, whose
+    ``repr`` has no sign).  A term column whose ``np.abs`` equals that of
+    an earlier column over the whole job reuses that column's magnitude
+    strings: in a sign-pattern family with coefficients of ±1 and one
+    exponent, every term column shares the first column's magnitudes, so
+    a row of ``d`` terms costs one ``repr`` instead of ``d``.
+    """
+    terms = job.terms
+    magnitudes = np.abs(terms)
+    formatted: list[tuple[np.ndarray, list[str]]] = []
+    columns = [list(map(str, range(job.start, job.start + len(terms)))),
+               list(map(str, job.indices.tolist()))]
+    for col in range(terms.shape[1]):
+        magnitude = magnitudes[:, col]
+        texts = next((texts for earlier, texts in formatted
+                      if np.array_equal(earlier, magnitude)), None)
+        if texts is None:
+            texts = list(map(repr, magnitude.tolist()))
+            formatted.append((magnitude, texts))
+        negative = np.signbit(terms[:, col]) & ~np.isnan(terms[:, col])
+        columns.append(list(map(str.__add__,
+                                [_SIGNS[n] for n in negative.tolist()],
+                                texts)))
+    columns += [list(map(repr, sums.tolist())) for sums in job.sums.T]
     lines: list[str] = []
     for first, stop, active_dim, active_eps in job.runs:
         suffix = f",{active_dim},{active_eps}\n" if job.annotated else "\n"
-        lines += [row_format % (step, index, *terms, *sums, suffix)
-                  for step, index, terms, sums in _run_cells(job, first,
-                                                             stop)]
+        lines += [",".join(cells) + suffix
+                  for cells in zip(*(column[first:stop]
+                                     for column in columns))]
     return lines
 
 
@@ -217,13 +243,27 @@ class _Trace:
     """What :func:`trace_rows` returns: an iterator of :class:`TraceRow`
     whose rows :func:`emit_trace` can also take as formatting jobs.
 
-    Nothing is computed until the rows or the jobs are asked for.
+    Only the lengths of the chain's conditions are read up front; nothing
+    is computed until the rows or the jobs are asked for.
     """
 
     def __init__(self, fam: FamilyVector, injection: Sequence[int],
                  dim: int, chain: CertificateChain | None) -> None:
-        self._args = (fam, injection, dim, chain)
+        self._args = (fam, injection)
         self.length = len(injection)
+        self.dim = dim
+        self._labels: list[tuple[int | None, Fraction | None]] = [
+            (None, None)]
+        self._lengths = np.zeros(0, dtype=np.int64)
+        if chain is not None:
+            self._labels = [(c.dim, c.eps)
+                            for c in chain.conditions] + self._labels
+            # the running maximum keeps "first condition longer than the
+            # step" a sorted search even for hand-built chains
+            self._lengths = np.maximum.accumulate(
+                [len(c.injection) for c in chain.conditions])
+        # the condition columns are written when step 0 has a condition
+        self.annotated = bool(len(self._lengths) and self._lengths[-1] > 0)
         self._rows: Iterator[TraceRow] | None = None
 
     def __iter__(self) -> _Trace:
@@ -242,17 +282,8 @@ class _Trace:
         return self._jobs()
 
     def _jobs(self) -> Iterator[_TraceJob]:
-        fam, injection, dim, chain = self._args
-        labels: list[tuple[int | None, Fraction | None]] = [(None, None)]
-        lengths = np.zeros(0, dtype=np.int64)
-        if chain is not None:
-            labels = [(c.dim, c.eps) for c in chain.conditions] + labels
-            # the running maximum keeps "first condition longer than the
-            # step" a sorted search even for hand-built chains
-            lengths = np.maximum.accumulate(
-                [len(c.injection) for c in chain.conditions])
-        # the condition columns are written when step 0 has a condition
-        annotated = bool(len(lengths) and lengths[-1] > 0)
+        fam, injection = self._args
+        dim, labels, lengths = self.dim, self._labels, self._lengths
         carry = np.zeros(dim)
         indices = np.asarray(injection, dtype=np.int64)
         for start in range(0, len(indices), _TRACE_CHUNK):
@@ -269,12 +300,16 @@ class _Trace:
                 runs = tuple((first, stop, *labels[int(owner[lo + first])])
                              for first, stop in zip(cuts[:-1], cuts[1:]))
                 yield _TraceJob(start + lo, part[lo:hi], terms[lo:hi],
-                                sums[lo:hi], runs, annotated)
+                                sums[lo:hi], runs, self.annotated)
 
     def _row_iter(self) -> Iterator[TraceRow]:
         for job in self._jobs():
             for first, stop, active_dim, active_eps in job.runs:
-                for step, index, terms, sums in _run_cells(job, first, stop):
+                for step, index, terms, sums in zip(
+                        range(job.start + first, job.start + stop),
+                        job.indices[first:stop].tolist(),
+                        job.terms[first:stop].tolist(),
+                        job.sums[first:stop].tolist()):
                     yield TraceRow(step, index, tuple(terms), tuple(sums),
                                    active_dim, active_eps)
 
@@ -367,31 +402,38 @@ def _emit_pooled(jobs: Iterator[_TraceJob], out: IO[str],
             proc.join()
 
 
+def _daemonic() -> bool:
+    """Whether this is a daemonic ``multiprocessing`` process, which may
+    not start processes of its own.  Such a process has imported
+    ``multiprocessing``, so this check does not import it."""
+    multiprocessing = sys.modules.get("multiprocessing")
+    return (multiprocessing is not None
+            and multiprocessing.current_process().daemon)
+
+
 def emit_trace(rows: Iterable[TraceRow], out: IO[str]) -> None:
     """Write trace rows as CSV with repr floats, one ``out.write`` per row.
 
-    Rows straight from :func:`trace_rows` are formatted job by job.  When
-    such a trace spans at least two ``2**16``-step chunks and this process
-    may run on two or more CPUs, the jobs go to ``min(cpus, jobs)`` forked
-    worker processes; otherwise they are formatted inline.  The sums are
-    computed in this process either way and the lines are written in step
-    order, so the bytes do not depend on the path or the CPU count.  Any
-    other iterable of rows is formatted row by row.
+    Rows straight from :func:`trace_rows` are formatted job by job, under
+    the header of the trace's dimension even when it has no rows.  When
+    such a trace spans at least two ``2**16``-step chunks, this process
+    may run on two or more CPUs and it is not a daemonic
+    ``multiprocessing`` process (which may not have children), the jobs
+    go to ``min(cpus, jobs)`` forked worker processes; otherwise they are
+    formatted inline.  The sums are computed in this process either way
+    and the lines are written in step order, so the bytes do not depend
+    on the path or the CPU count.  Any other iterable of rows is formatted
+    row by row, and an empty one gets a one-column header.
     """
     jobs = rows.take_jobs() if isinstance(rows, _Trace) else None
     if jobs is None:
         _emit_rows(iter(rows), out)
         return
-    first = next(jobs, None)
-    if first is None:
-        out.write(_header(1, False))
-        return
-    out.write(_header(first.terms.shape[1], first.annotated))
-    jobs = itertools.chain((first,), jobs)
+    out.write(_header(rows.dim, rows.annotated))
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else 1)
     workers = min(cpus, -(-rows.length // _JOB_ROWS))
-    if rows.length > _TRACE_CHUNK and workers >= 2:
+    if rows.length > _TRACE_CHUNK and workers >= 2 and not _daemonic():
         _emit_pooled(jobs, out, workers)
         return
     for job in jobs:

@@ -80,6 +80,17 @@ def test_rearrange_multi_target_pair(tmp_path, capsys):
     assert "length=" in capsys.readouterr().out
 
 
+def test_an_empty_trace_has_the_header_of_its_dimension(tmp_path, capsys):
+    # eps 10 already holds at the empty rearrangement
+    spec = write_family_file(tmp_path / "pair.json", [RAD_PAIR_ENTRIES])
+    trace = tmp_path / "empty.csv"
+    code = main(["rearrange", "--spec", spec, "--targets", "0.1,0.2",
+                 "--eps", "10", "--trace", str(trace)])
+    assert code == 0
+    assert "length=0 " in capsys.readouterr().out
+    assert trace.read_text() == "step,index,term_0,term_1,sum_0,sum_1\n"
+
+
 def test_rearrange_on_a_wide_lane_modulus(tmp_path, capsys):
     # a level-12 sign pattern splits the indices into 2**13 residue lanes,
     # so a lane's projected depth leaves the float range

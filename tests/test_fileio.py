@@ -8,9 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sumchase import (InputError, abs_power, family, parse_certificate,
-                      parse_spec_file, power_alternating, rademacher_harmonic,
-                      trace_rows, write_certificate, write_trace)
+from sumchase import (InputError, abs_power, composite, family,
+                      parse_certificate, parse_spec_file, power_alternating,
+                      rademacher_harmonic, trace_rows, write_certificate,
+                      write_trace)
 from sumchase import fileio
 from sumchase.conditions import CertificateChain, Condition
 from sumchase.fileio import emit_trace, parse_family
@@ -159,23 +160,69 @@ def _reference_trace(fam, injection, dim, chain=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Families whose term columns share their magnitudes in different ways:
+#: all of them (levels 0 and 3, levels 0-3), all but the first (a
+#: composite with coefficient 8), none (two exponents) and one column.
+_TRACE_FAMILIES = {
+    "rad-0-3": family(rademacher_harmonic(0), rademacher_harmonic(3)),
+    "rad-0123": family(*(rademacher_harmonic(i) for i in range(4))),
+    "scaled": family(composite([(8.0, rademacher_harmonic(0))]),
+                     rademacher_harmonic(1), rademacher_harmonic(2)),
+    "mixed-exponents": family(rademacher_harmonic(0, 1.0),
+                              rademacher_harmonic(1, 0.75)),
+    "power-alternating": family(power_alternating(1.0)),
+}
+
+
 @pytest.mark.parametrize("annotated", [True, False])
-def test_trace_bytes_across_chunk_and_condition_boundaries(tmp_path,
+@pytest.mark.parametrize("name", list(_TRACE_FAMILIES))
+def test_trace_bytes_across_chunk_and_condition_boundaries(tmp_path, name,
                                                            annotated):
     # conditions end at steps 0, 40 000 and 70 000, so the trace crosses
     # a condition boundary inside the first 2**16-step chunk and a chunk
     # boundary inside the last condition; five steps run past the chain
-    fam = family(rademacher_harmonic(0), rademacher_harmonic(3))
+    fam = _TRACE_FAMILIES[name]
+    dim = len(fam)
     order = np.random.default_rng(7).permutation(90_000)[:70_005].tolist()
     chain = CertificateChain(
         (Condition((), 1, Fraction(3)),
          Condition(tuple(order[:40_000]), 1, Fraction(1, 7)),
-         Condition(tuple(order[:70_000]), 2, Fraction(22, 7_000))), (), ())
+         Condition(tuple(order[:70_000]), dim, Fraction(22, 7_000))), (), ())
     use = chain if annotated else None
     path = tmp_path / "trace.csv"
-    write_trace(str(path), trace_rows(fam, order, 2, use))
-    assert path.read_bytes() == _reference_trace(fam, order, 2,
+    write_trace(str(path), trace_rows(fam, order, dim, use))
+    assert path.read_bytes() == _reference_trace(fam, order, dim,
                                                  use).encode()
+
+
+@pytest.mark.parametrize("annotated", [True, False])
+def test_format_job_writes_the_row_format(annotated):
+    # column 0 holds signed zeros and shares its magnitudes with column 4;
+    # column 1 shares its magnitudes only with the later column 3; column
+    # 2 holds infinities and a NaN whose sign bit is set
+    terms = np.array([
+        [0.0, 0.5, -np.nan, -0.5, -0.0],
+        [-0.0, -1 / 3, np.inf, 1 / 3, 0.0],
+        [-0.0, 1e-300, -np.inf, -1e-300, -0.0],
+        [0.0, -0.1, 2.0, -0.1, 0.0],
+    ])
+    sums = np.array([
+        [0.0, 0.5, -1.5, -0.5, -0.0],
+        [-0.0, 1 / 6, 2.5, -1 / 6, 0.0],
+        [-0.0, 1e-300, -np.nan, -1e-300, -0.0],
+        [0.25, -0.1, np.inf, -0.1, 7.0],
+    ])
+    labels = [(1, Fraction(1, 3))] + [(2, Fraction(3))] * 3
+    job = fileio._TraceJob(5, np.array([9, 3, 7, 0]), terms, sums,
+                           ((0, 1, *labels[0]), (1, 4, *labels[1])),
+                           annotated)
+    row_format = fileio._row_format(5)
+    expected = [row_format % (5 + row, int(job.indices[row]),
+                              *terms[row].tolist(), *sums[row].tolist(),
+                              f",{active_dim},{active_eps}\n" if annotated
+                              else "\n")
+                for row, (active_dim, active_eps) in enumerate(labels)]
+    assert fileio._format_job(job) == expected
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +282,25 @@ def test_long_traces_keep_their_bytes_in_workers_and_inline(
     # every job in the inline case
     jobs = -(-length // fileio._JOB_ROWS)
     assert len(formatted_here) == (jobs if cpus == 1 else 0)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_daemonic_process_formats_long_traces_inline(long_trace,
+                                                       monkeypatch, tmp_path):
+    # a daemonic process may not start the trace's workers
+    fam, order, chain, expected = long_trace
+    _pin_cpus(monkeypatch, 2)
+    path = tmp_path / "trace.csv"
+    proc = multiprocessing.get_context("fork").Process(
+        target=write_trace,
+        args=(str(path), trace_rows(fam, order, 2, chain)), daemon=True)
+    proc.start()
+    proc.join(timeout=120)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+    assert proc.exitcode == 0
+    assert path.read_bytes() == expected[True]
     assert multiprocessing.active_children() == []
 
 
