@@ -23,9 +23,10 @@ from .errors import (BudgetExhaustedError, DisagreementError,
                      SumchaseError)
 from .fileio import (parse_certificate, parse_spec_file, trace_rows,
                      write_certificate, write_trace)
-from .rearrange import (PrefixPlan, chase_target, cover_indices,
-                        plan_from_injection, riemann_rearrange,
-                        select_block_indices, verify_prefix)
+from .rearrange import (PrefixPlan, UsedIndices, chase_target,
+                        cover_indices, plan_from_injection,
+                        riemann_rearrange, select_block_indices,
+                        verify_prefix)
 from .series import (FamilyVector, SeriesSpec, abs_power, classical_sum,
                      composite, family, is_conditionally_convergent,
                      partial_sum, partial_sum_vector, power_alternating,
@@ -43,7 +44,7 @@ __all__ = [
     "ConfinementResult", "ConstantSchedule", "DependencyStructure",
     "DisagreementError", "FamilyVector", "InfeasibleEtaError", "InputError",
     "PreconditionError", "PrefixPlan", "SearchError", "SeriesSpec",
-    "SizeLimitError", "StructureError", "SumchaseError",
+    "SizeLimitError", "StructureError", "SumchaseError", "UsedIndices",
     "VerificationReport", "abs_power", "brute_force_confine",
     "certified_le", "certified_lt", "chase_target", "classical_sum",
     "composite", "confine_with_anchor", "confine_zero_sum", "cover_indices",

@@ -69,18 +69,14 @@ def _certified_below(value: float, bound: Fraction) -> bool:
     return math.isfinite(value) and Fraction(value) + CHECK_SLACK < bound
 
 
-def _index_array(injection: Sequence[int]) -> np.ndarray | None:
-    """The injection as int64, or None unless its entries are distinct,
-    nonnegative and below ``2**63``."""
-    try:
-        ms = np.asarray(injection, dtype=np.int64)
-    except OverflowError:
-        return None
-    ordered = np.sort(ms)
+def _index_array(injection: np.ndarray) -> np.ndarray | None:
+    """The injection (an int64 array, as conditions hold it), or None
+    unless its entries are distinct and nonnegative."""
+    ordered = np.sort(injection)
     if ordered.size and (ordered[0] < 0
                          or (ordered[1:] == ordered[:-1]).any()):
         return None
-    return ms
+    return injection
 
 
 def _chunks(ms: np.ndarray, size: int) -> Iterator[np.ndarray]:
@@ -173,7 +169,7 @@ def _link_failures(fam: FamilyVector, lower, upper, record: LinkRecord,
                    label: str) -> list[str]:
     fails = []
     k = len(upper.injection)
-    if lower.injection[:k] != upper.injection:
+    if not np.array_equal(lower.injection[:k], upper.injection):
         fails.append(f"{label}: lower condition does not extend the upper one")
         return fails
     if lower.dim < upper.dim:

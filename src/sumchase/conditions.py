@@ -40,8 +40,9 @@ import numpy as np
 from .confinement import ConstantSchedule, DEFAULT_SCHEDULE
 from .errors import (BudgetExhaustedError, InfeasibleEtaError, InputError,
                      PreconditionError, SearchError)
-from .rearrange import (block_statistics, lane_modulus, order_block_lanes,
-                        select_block_indices, widest_lane_dim)
+from .rearrange import (UsedIndices, block_statistics, lane_modulus,
+                        order_block_lanes, select_block_indices,
+                        widest_lane_dim)
 from .series import (FamilyVector, index_problems, partial_sum_vector,
                      tail_sup_bound, vector_terms)
 
@@ -72,23 +73,62 @@ def certified_le(value: float, extra: Fraction, bound: Fraction) -> bool:
     return extra + Fraction(value) + _SLACK_FRACTION <= bound
 
 
-@dataclass(frozen=True)
-class Condition:
-    """Injection prefix, active dimension count, exact tolerance."""
+def _index_vector(injection) -> np.ndarray:
+    """The injection as a read-only one-dimensional int64 array.
 
-    injection: tuple[int, ...]
+    A read-only int64 array is taken as it is; anything else is copied,
+    through Python ints when it is an array of another dtype, so that an
+    entry outside int64 raises instead of wrapping around.
+    """
+    if (isinstance(injection, np.ndarray) and injection.dtype == np.int64
+            and not injection.flags.writeable):
+        arr = injection
+    else:
+        if isinstance(injection, np.ndarray) and injection.dtype != np.int64:
+            injection = injection.tolist()
+        try:
+            arr = np.array(injection, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise InputError(f"injection entries must be int64 indices: "
+                             f"{exc}") from exc
+        arr.flags.writeable = False
+    if arr.ndim != 1:
+        raise InputError(f"injection must be one-dimensional, got shape "
+                         f"{arr.shape}")
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class Condition:
+    """Injection prefix, active dimension count, exact tolerance.
+
+    ``injection`` is held as a read-only int64 array; negative and
+    repeated entries are kept for is_condition to report, but an entry
+    outside int64 is an input error here.  Two conditions are equal when
+    their injections, dimensions and tolerances are.
+    """
+
+    injection: np.ndarray
     dim: int
     eps: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "injection",
-                           tuple(map(int, self.injection)))
+        object.__setattr__(self, "injection", _index_vector(self.injection))
         if not isinstance(self.dim, int) or self.dim < 1:
             raise InputError(f"dimension must be a positive int, got {self.dim!r}")
         eps = Fraction(self.eps)
         if eps <= 0:
             raise InputError(f"tolerance must be positive, got {eps}")
         object.__setattr__(self, "eps", eps)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Condition):
+            return NotImplemented
+        return (self.dim == other.dim and self.eps == other.eps
+                and np.array_equal(self.injection, other.injection))
+
+    def __hash__(self) -> int:
+        return hash((self.injection.tobytes(), self.dim, self.eps))
 
 
 @dataclass(frozen=True)
@@ -188,7 +228,7 @@ def leq(lower: Condition, upper: Condition,
     """
     bullets: list[BulletCheck] = []
     k = len(upper.injection)
-    extends = lower.injection[:k] == upper.injection
+    extends = np.array_equal(lower.injection[:k], upper.injection)
     bullets.append(BulletCheck("extends", extends, float(len(lower.injection)),
                                float(k)))
     bullets.append(BulletCheck("dimensions", lower.dim >= upper.dim,
@@ -248,9 +288,9 @@ def _attempt_extension(cond: Condition, n: int, fam: FamilyVector,
     new_dim = d + 1
     cover_bound = float(delta / Fraction(schedule.value_at(new_dim))) / 4.0
     m_cov = _smallest_cover_cutoff(fam, new_dim, cover_bound, floor=n)
-    used = set(cond.injection)
-    cover = [m for m in range(m_cov) if m not in used]
-    used.update(cover)
+    used = UsedIndices(cond.injection)
+    cover = used.unused_below(m_cov)
+    used.add(cover)
     base_full = partial_sum_vector(fam, cond.injection, full_dim)
     cover_full = partial_sum_vector(fam, cover, full_dim)
     residual = np.array(targets[:full_dim]) - base_full - cover_full
@@ -260,10 +300,7 @@ def _attempt_extension(cond: Condition, n: int, fam: FamilyVector,
     # picks land within delta / 4 of the targets, measured in norm.
     picks = select_block_indices(fam, full_dim, residual, used,
                                  float(delta) / 4.0, scan_cap=math.inf)
-    # the used set is the largest object of the step; the ordering and
-    # the checks do not need it
-    del used
-    block = cover + picks
+    block = np.concatenate((cover, picks))
     appended = len(block)
     if appended > budget:
         raise BudgetExhaustedError(
@@ -275,7 +312,9 @@ def _attempt_extension(cond: Condition, n: int, fam: FamilyVector,
     ordered = order_block_lanes(fam, block, d, limit, modulus=modulus)
     if ordered is None:
         return None, appended
-    candidate = Condition(cond.injection + tuple(ordered), new_dim, delta)
+    injection = np.concatenate((cond.injection, ordered))
+    injection.flags.writeable = False  # so the condition takes it uncopied
+    candidate = Condition(injection, new_dim, delta)
     check = is_condition(candidate, fam, targets, schedule=schedule)
     link = leq(candidate, cond, fam)
     if check.ok and link.ok:

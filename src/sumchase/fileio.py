@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 import os
+import re
 import signal
 import sys
 from dataclasses import dataclass, field
@@ -465,6 +466,10 @@ def write_trace(path: str, rows: Iterable[TraceRow]) -> None:
 # Certificates
 # ---------------------------------------------------------------------------
 
+#: Indices per ``str`` conversion when a condition line is written.
+_INDEX_CHUNK = 1 << 16
+
+
 def emit_certificate(chain: CertificateChain, targets: Sequence[float],
                      out: IO[str],
                      schedule_values: Sequence[float] = ()) -> None:
@@ -480,9 +485,16 @@ def emit_certificate(chain: CertificateChain, targets: Sequence[float],
         out.write("schedule: "
                   + ",".join(repr(float(v)) for v in schedule_values) + "\n")
     for pos, cond in enumerate(chain.conditions):
-        f_text = ",".join(str(i) for i in cond.injection)
-        out.write(f"condition {pos}: f={f_text} d={cond.dim} "
-                  f"eps={cond.eps}\n")
+        out.write(f"condition {pos}: f=")
+        injection = cond.injection
+        for start in range(0, len(injection), _INDEX_CHUNK):
+            if start:
+                out.write(",")
+            # a list of ints has the repr "[i, j, ...]"; this is faster
+            # than joining the str of each entry
+            chunk = injection[start:start + _INDEX_CHUNK].tolist()
+            out.write(repr(chunk)[1:-1].replace(", ", ","))
+        out.write(f" d={cond.dim} eps={cond.eps}\n")
     for pos, link in enumerate(chain.checks):
         prefix_max = link.bullet("block-prefixes").value
         block_norm = link.bullet("tolerance-step").value
@@ -543,6 +555,42 @@ def _finite_float(text: str, where: str, what: str) -> float:
     return value
 
 
+#: Numbers long enough to fall outside int64.
+_LONG_INDEX = re.compile(r"[+-]?[0-9]{19,}")
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _index_text_ok(text: str) -> bool:
+    """Whether ``text`` is comma-separated decimal integers, each with an
+    optional sign."""
+    # with the signs that start a number dropped, only digits and commas
+    # that separate two digits may remain
+    bare = text.replace(",-", ",").replace(",+", ",")
+    if bare[:1] in ("-", "+"):
+        bare = bare[1:]
+    return (bare.isascii() and bare.replace(",", "").isdecimal()
+            and ",," not in bare and bare[0] != "," and bare[-1] != ",")
+
+
+def _parse_indices(text: str, where: str) -> np.ndarray:
+    """The comma-separated integers of an ``f=`` value as a read-only
+    int64 array, with no Python object per entry.  Negative entries
+    parse, for the checker to report."""
+    if text and not _index_text_ok(text):
+        raise InputError(f"{where}: f must be comma-separated integers")
+    indices = np.fromstring(text, dtype=np.int64, sep=",")
+    # np.fromstring clamps an entry outside int64 to the nearest bound
+    # instead of failing, so entries at a bound are checked by their digits
+    if indices.size and (indices.max() == _INT64.max
+                         or indices.min() == _INT64.min):
+        for token in _LONG_INDEX.findall(text):
+            if not _INT64.min <= int(token) <= _INT64.max:
+                raise InputError(f"{where}: index {token} lies outside int64")
+    indices.flags.writeable = False
+    return indices
+
+
 def _certificate_lines(path: str) -> Iterator[tuple[str, str]]:
     """Yield ``(where, line)`` for each nonblank certificate line."""
     try:
@@ -582,15 +630,9 @@ def parse_certificate(path: str) -> CertificateData:
             fields = _parse_fields(rest, where)
             if set(fields) != {"f", "d", "eps"}:
                 raise InputError(f"{where}: condition lines carry f, d, eps")
-            f_text = fields["f"]
-            try:
-                injection = (tuple(map(int, f_text.split(",")))
-                             if f_text else ())
-            except ValueError as exc:
-                raise InputError(f"{where}: f must be comma-separated "
-                                 f"integers") from exc
             conditions[pos] = Condition(
-                injection, _convert(int, fields["d"], where, "d"),
+                _parse_indices(fields["f"], where),
+                _convert(int, fields["d"], where, "d"),
                 _convert(Fraction, fields["eps"], where, "eps"))
         elif head.startswith("link "):
             arrow = head.split()[1]

@@ -27,10 +27,11 @@ recomputed from scratch; verify_prefix does exactly that.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -85,6 +86,20 @@ class PrefixPlan:
         return len(self.injection) >= k and self.injection[:k] == other.injection
 
 
+#: Rows per ``np.linalg.norm`` call in :func:`_largest_running_norm`.
+_NORM_ROWS = 1 << 16
+
+
+def _largest_running_norm(rows: np.ndarray) -> float:
+    """Largest norm of the running sums of ``rows`` (which become those
+    sums: ``np.cumsum`` runs in place).  The norms are taken ``2**16``
+    rows at a time, each row with the bits of one whole-array call."""
+    np.cumsum(rows, axis=0, out=rows)
+    return max(float(np.linalg.norm(rows[start:start + _NORM_ROWS],
+                                    axis=1).max())
+               for start in range(0, len(rows), _NORM_ROWS))
+
+
 def block_statistics(fam: FamilyVector, indices: Sequence[int],
                      dim: int) -> tuple[np.ndarray, float]:
     """Coordinate sums of the terms at ``indices`` over the first ``dim``
@@ -93,8 +108,7 @@ def block_statistics(fam: FamilyVector, indices: Sequence[int],
     sums = partial_sum_vector(fam, indices, dim)
     if not len(indices):
         return sums, 0.0
-    running = np.cumsum(vector_terms(fam, indices, dim), axis=0)
-    return sums, float(np.linalg.norm(running, axis=1).max())
+    return sums, _largest_running_norm(vector_terms(fam, indices, dim))
 
 
 def plan_from_injection(fam: FamilyVector, injection: Sequence[int],
@@ -261,13 +275,14 @@ def _axis_pairs(signs: Sequence[tuple[int, ...]], axis: int,
     return pairs
 
 
-def _projected_depth(frontier: float, mass: float, modulus: int,
+def _projected_depth(frontier: float, mass: float, period: int,
                      p: float) -> float:
-    """Index depth reached by drawing ``mass`` from a lane at ``frontier``."""
+    """Index depth reached by drawing ``mass`` from a lane at ``frontier``
+    whose members are ``period`` apart on average."""
     try:
         if p == 1.0:
-            return frontier * math.exp(modulus * mass)
-        shifted = frontier ** (1.0 - p) + (1.0 - p) * modulus * mass
+            return frontier * math.exp(period * mass)
+        shifted = frontier ** (1.0 - p) + (1.0 - p) * period * mass
         if shifted <= 0.0:
             return math.inf
         return shifted ** (1.0 / (1.0 - p))
@@ -289,13 +304,15 @@ def _lane_masses(struct: _LaneStructure, residual: np.ndarray,
     every other coordinate).  Each axis fills its pairs greedily by
     marginal index cost: drawing mass from a lane consumes indices at a
     rate of depth**p per unit, so mass is routed through lanes whose
-    unused frontier is shallow.  A lane asked to carry a move alone would
-    be mined to depth ``exp(modulus * mass)`` times its frontier, and
-    every later selection touching that lane starts from that depth.
+    unused frontier is shallow.  A lane holds ``modulus / 2**dim``
+    residues, so its members are ``period = 2**dim`` apart on average; a
+    lane asked to carry a move alone would be mined to depth
+    ``exp(period * mass)`` times its frontier (for ``p = 1``), and every
+    later selection touching that lane starts from that depth.
     """
     scaled = residual / np.array(struct.coeffs)
     dim = len(struct.levels)
-    modulus = struct.modulus
+    period = struct.modulus // len(struct.lane_residues[0])
     p = struct.exponent
     front = {sig: 1.0 for sig in struct.sign_vectors}
     if frontiers is not None:
@@ -308,7 +325,7 @@ def _lane_masses(struct: _LaneStructure, residual: np.ndarray,
             loads[(-1,)] = float(-scaled[0])
     else:
         def marginal(sig: tuple[int, ...]) -> float:
-            depth = _projected_depth(front[sig], loads[sig], modulus, p)
+            depth = _projected_depth(front[sig], loads[sig], period, p)
             return depth ** p if depth != math.inf else math.inf
 
         axes = sorted(range(dim), key=lambda i: -abs(float(scaled[i])))
@@ -333,65 +350,151 @@ def _lane_masses(struct: _LaneStructure, residual: np.ndarray,
     return out
 
 
+class UsedIndices:
+    """A set of nonnegative indices held as a boolean mask.
+
+    The mask grows by doubling when an index past its end is added.  Every
+    index at or past its end is unused, so a scan may look beyond it
+    without growing it.
+    """
+
+    __slots__ = ("_bits",)
+
+    def __init__(self, indices: Sequence[int] = ()) -> None:
+        self._bits = np.zeros(0, dtype=bool)
+        self.add(indices)
+
+    def add(self, indices: Sequence[int]) -> None:
+        ms = np.asarray(indices, dtype=np.int64)
+        if not ms.size:
+            return
+        if int(ms.min()) < 0:
+            raise InputError("used indices must be nonnegative")
+        need = int(ms.max()) + 1
+        if need > len(self._bits):
+            grown = np.zeros(max(need, 2 * len(self._bits)), dtype=bool)
+            grown[:len(self._bits)] = self._bits
+            self._bits = grown
+        self._bits[ms] = True
+
+    def contains(self, ms: np.ndarray) -> np.ndarray:
+        """Whether each of the nonnegative indices ``ms`` is in the set."""
+        out = np.zeros(ms.shape, dtype=bool)
+        inside = ms < len(self._bits)
+        out[inside] = self._bits[ms[inside]]
+        return out
+
+    def unused_below(self, n: int) -> np.ndarray:
+        """The indices below ``n`` that are not in the set, ascending."""
+        free = np.ones(n, dtype=bool)
+        known = min(len(free), len(self._bits))
+        free[:known] = ~self._bits[:known]
+        return np.flatnonzero(free)
+
+
+#: The most lane members a scan reads at once.  Windows start at 256
+#: members and double up to this size, so a lane that is done after a few
+#: members costs little and a long scan holds a bounded amount of memory
+#: (about 64 B per member of a window).
+_SCAN_WINDOW = 1 << 14
+
+
+def _lane_windows(modulus: int, residues: Sequence[int],
+                  stop_block: int | None = None) -> Iterator[np.ndarray]:
+    """Ascending runs of the lane members ``block * modulus + r`` of the
+    residues, block by block from block 0 up to ``stop_block``."""
+    lane = np.array(sorted(residues), dtype=np.int64)
+    most = max(1, _SCAN_WINDOW // len(lane))
+    blocks = max(1, 256 // len(lane))
+    first = 0
+    while stop_block is None or first < stop_block:
+        count = min(blocks, most)
+        if stop_block is not None:
+            count = min(count, stop_block - first)
+        firsts = np.arange(first, first + count, dtype=np.int64) * modulus
+        yield (firsts[:, None] + lane).ravel()
+        first += count
+        blocks *= 2
+
+
+def _magnitudes(ms: np.ndarray, p: float) -> np.ndarray:
+    """``(m + 1.0) ** -p`` for each index, with Python's libm ``pow``."""
+    bases = (ms.astype(np.float64) + 1.0).tolist()
+    return np.fromiter(map(math.pow, bases, itertools.repeat(-p)),
+                       dtype=np.float64, count=len(bases))
+
+
 def _take_from_lane(struct: _LaneStructure, residues: Sequence[int],
-                    mass: float, lane_tol: float, used: set[int],
-                    scan_cap: float) -> list[int]:
-    p = struct.exponent
-    picks: list[int] = []
+                    mass: float, lane_tol: float, used: UsedIndices,
+                    scan_cap: float) -> np.ndarray:
+    """Take-if-fits over the lane's unused members in ascending order,
+    from ``mass`` down to below ``lane_tol``, in blocks starting at most
+    ``scan_cap``.
+
+    A run of takes is one ``np.cumsum`` over ``[remaining, -a_1, -a_2,
+    ...]``, the subtractions of a scalar loop in the same order.  In IEEE
+    arithmetic ``fl(r - a) >= 0`` exactly when ``a <= r``, so the first
+    entry below ``lane_tol`` either is a take that ends the scan
+    (nonnegative) or marks the first member that does not fit.
+    """
+    picks: list[np.ndarray] = []
     remaining = mass
-    block = 0
-    ordered = sorted(residues)
-    while remaining >= lane_tol:
-        base = block * struct.modulus
-        if base > scan_cap:
+    stop_block = (None if scan_cap == math.inf
+                  else int(scan_cap // struct.modulus) + 1)
+    for members in _lane_windows(struct.modulus, residues, stop_block):
+        if not remaining >= lane_tol:
             break
-        for r in ordered:
-            m = base + r
-            if m in used:
-                continue
-            magnitude = (m + 1.0) ** -p
-            if magnitude <= remaining:
-                picks.append(m)
-                used.add(m)
-                remaining -= magnitude
-                if remaining < lane_tol:
-                    break
-        block += 1
-    return picks
+        free = members[~used.contains(members)]
+        sizes = _magnitudes(free, struct.exponent)
+        pos = 0
+        while pos < len(sizes) and remaining >= lane_tol:
+            left = np.cumsum(np.concatenate(([remaining], -sizes[pos:])))
+            low = np.flatnonzero(left[1:] < lane_tol)
+            if not low.size:
+                picks.append(free[pos:])
+                remaining = float(left[-1])
+                break
+            end = int(low[0])
+            if left[end + 1] >= 0.0:
+                picks.append(free[pos:pos + end + 1])
+                remaining = float(left[end + 1])
+                break
+            picks.append(free[pos:pos + end])
+            remaining = float(left[end])
+            fits = np.flatnonzero(sizes[pos + end + 1:] <= remaining)
+            pos = pos + end + 1 + int(fits[0]) if fits.size else len(sizes)
+    return (np.concatenate(picks) if picks
+            else np.zeros(0, dtype=np.int64))
 
 
 def _first_unused(struct: _LaneStructure, residues: Sequence[int],
-                  used: set[int]) -> int:
+                  used: UsedIndices) -> int:
     """Smallest unused lane member."""
-    ordered = sorted(residues)
-    block = 0
-    while True:
-        base = block * struct.modulus
-        for r in ordered:
-            m = base + r
-            if m not in used:
-                return m
-        block += 1
+    # the windows never end, and every member past the mask is unused
+    for members in _lane_windows(struct.modulus, residues):
+        free = np.flatnonzero(~used.contains(members))
+        if free.size:
+            return int(members[free[0]])
 
 
 def select_block_indices(fam: FamilyVector, dim: int, residual: np.ndarray,
-                         used: set[int], tol: float,
+                         used: UsedIndices, tol: float,
                          boosts: Mapping[tuple[int, ...], float] | None = None,
-                         scan_cap: float | None = None) -> list[int]:
+                         scan_cap: float | None = None) -> np.ndarray:
     """Pick unused indices whose term-vector sum lands within ``tol`` of
-    ``residual``.
+    ``residual``, as an ascending int64 array.
 
-    Mutates ``used``.  Requires the active specs to form a dyadic
-    sign-pattern family with a common exponent and distinct levels.
-    Each of the ``L = 2**dim`` sign lanes is assigned a mass (complementary
-    ``boosts`` cancel in the sum) and scanned take-if-fits until less than
-    ``lane_tol = tol / (L * sqrt(dim) * max|c|)`` of its mass is left,
-    where ``c`` are the series' coefficients.  So coordinate ``i`` misses
-    by less than ``|c_i| * L * lane_tol``, and the norm of the miss is
-    below ``tol`` when ``scan_cap`` is ``math.inf``; the scan still
-    terminates, because the terms tend to zero.  The default cap, a few
-    lane periods past the depth where terms fall to ``lane_tol``, can
-    stop a lane early and void the bound.
+    Adds the picks to ``used``.  Requires the active specs to form a
+    dyadic sign-pattern family with a common exponent and distinct
+    levels.  Each of the ``L = 2**dim`` sign lanes is assigned a mass
+    (complementary ``boosts`` cancel in the sum) and scanned take-if-fits
+    until less than ``lane_tol = tol / (L * sqrt(dim) * max|c|)`` of its
+    mass is left, where ``c`` are the series' coefficients.  So
+    coordinate ``i`` misses by less than ``|c_i| * L * lane_tol``, and the
+    norm of the miss is below ``tol`` when ``scan_cap`` is ``math.inf``;
+    the scan still terminates, because the terms tend to zero.  The
+    default cap, a few lane periods past the depth where terms fall to
+    ``lane_tol``, can stop a lane early and void the bound.
     """
     struct = _lane_structure(fam, dim)
     if struct is None:
@@ -407,13 +510,14 @@ def select_block_indices(fam: FamilyVector, dim: int, residual: np.ndarray,
     for sig, residues in zip(struct.sign_vectors, struct.lane_residues):
         first = _first_unused(struct, residues, used)
         frontiers[sig] = float(max(first, 1))
-    picks: list[int] = []
+    parts = [np.zeros(0, dtype=np.int64)]
     masses = _lane_masses(struct, residual, boosts or {}, frontiers)
     for sig, mass in masses.items():
         residues = struct.lane_residues[struct.sign_vectors.index(sig)]
-        picks.extend(_take_from_lane(struct, residues, mass, lane_tol, used,
+        parts.append(_take_from_lane(struct, residues, mass, lane_tol, used,
                                      scan_cap))
-    picks.sort()
+    picks = np.sort(np.concatenate(parts))
+    used.add(picks)
     return picks
 
 
@@ -456,7 +560,7 @@ def complementary_boosts(fam: FamilyVector, dim: int, scale: float,
 
 def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
                       threshold: float,
-                      modulus: int | None = None) -> list[int] | None:
+                      modulus: int | None = None) -> np.ndarray | None:
     """Balanced interleaving of residue lanes; the engine's block orderer.
 
     The sorted block is grouped by residue class mod ``modulus`` (by
@@ -468,8 +572,8 @@ def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
     block is taken in ascending key order; equal keys keep ascending
     index order, so a single lane comes out in ascending order.  One
     ``np.cumsum`` then checks every running ``dim``-dimensional sum of
-    the block, and the result is None when any of their norms exceeds
-    ``threshold``.
+    the block.  The result is the ordered block as an int64 array, or
+    None when any of their norms exceeds ``threshold``.
 
     Every lane drains at the same rate, so each prefix is within half a
     term per lane of ``s * B``, where ``B`` is the block sum and ``s``
@@ -483,7 +587,7 @@ def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
         modulus = lane_modulus(fam, dim) or 1
     idx = np.sort(np.asarray(indices, dtype=np.int64))
     if not idx.size:
-        return []
+        return idx
     rows = vector_terms(fam, idx, dim)
     norms = np.linalg.norm(rows, axis=1)
     lanes = idx % modulus
@@ -495,10 +599,10 @@ def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
         c = np.cumsum(t)
         key[group] = (c - t / 2) / c[-1]
     order = np.argsort(key, kind="stable")
-    sums = np.cumsum(rows[order], axis=0)
-    if np.linalg.norm(sums, axis=1).max() > threshold:
+    del norms, lanes, by_lane, key
+    if _largest_running_norm(rows[order]) > threshold:
         return None
-    return idx[order].tolist()
+    return idx[order]
 
 
 def _select_scalar(spec: SeriesSpec, residual: float, used: set[int],
@@ -524,7 +628,7 @@ def order_block(fam: FamilyVector, indices: Sequence[int],
     """Order a block for appending: order_block_lanes with its default
     lanes and no limit, so running sums stay near the segment from the
     old sum to the new one."""
-    return order_block_lanes(fam, indices, dim, math.inf)
+    return order_block_lanes(fam, indices, dim, math.inf).tolist()
 
 
 def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
@@ -547,8 +651,8 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
         raise InputError("target shorter than the active dimension")
     _check_eps_budget(eps, budget)
     injection = list(base.injection) if base is not None else []
-    used = set(injection)
-    if base is not None and len(used) != len(injection):
+    taken, problems = index_problems(injection)
+    if "duplicate" in problems:
         raise PreconditionError("base plan has duplicate indices")
     rng = random.Random(seed)
     goal = goal[:dim]
@@ -557,6 +661,8 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
         raise StructureError(
             "chasing several series at once needs dyadic sign-pattern "
             "structure; decompose the family first")
+    # the lane scans read a mask; the scalar scan looks indices up one by one
+    used = UsedIndices(taken) if lanes_ok else set(injection)
     appended = 0
     # the deviation and length of the closest prefix so far, as in
     # riemann_rearrange; its plan is built only when raising
@@ -579,7 +685,7 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
                                    tol=eps / 4.0,
                                    scan_cap=int(8.0 / eps) + 4096)
         boosts = {}
-        if picks:
+        if len(picks):
             appended += len(picks)
             if appended > budget:
                 raise BudgetExhaustedError(
@@ -587,7 +693,7 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
                     best=plan_from_injection(fam, injection[:best_len], goal,
                                              dim))
             injection.extend(order_block(fam, picks, dim))
-        stalled = not picks or dev > prev_dev * 0.9
+        stalled = not len(picks) or dev > prev_dev * 0.9
         if stalled and lanes_ok:
             boosts = complementary_boosts(fam, dim, max(dev, eps) * 0.5, rng)
         prev_dev = dev

@@ -20,6 +20,7 @@ classification, tail bounds and classical summation.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -304,13 +305,26 @@ def _check_indices(indices: Sequence[int]) -> np.ndarray:
     return ms
 
 
+#: Floats per list that :func:`_fsum` hands on to ``math.fsum``.
+_FSUM_CHUNK = 1 << 16
+
+
+def _fsum(values: np.ndarray) -> float:
+    """``math.fsum(values)``, bit for bit, read from lists of at most
+    ``2**16`` floats: fsum iterates a list faster than an array, and the
+    chunks bound how many float objects exist at once."""
+    return math.fsum(itertools.chain.from_iterable(
+        values[start:start + _FSUM_CHUNK].tolist()
+        for start in range(0, len(values), _FSUM_CHUNK)))
+
+
 def partial_sum(spec: SeriesSpec, indices: Sequence[int]) -> float:
     """Exactly rounded sum of the terms at the given distinct indices.
 
     Uses compensated summation, so the value does not depend on the order
     in which indices are listed.
     """
-    return math.fsum(term_array(spec, _check_indices(indices)))
+    return _fsum(term_array(spec, _check_indices(indices)))
 
 
 def partial_sum_vector(fam: FamilyVector, indices: Sequence[int],
@@ -318,8 +332,7 @@ def partial_sum_vector(fam: FamilyVector, indices: Sequence[int],
     """Coordinatewise :func:`partial_sum` over the first ``d`` series."""
     d = len(fam) if d is None else d
     ms = _check_indices(indices)
-    return np.array([math.fsum(term_array(spec, ms))
-                     for spec in fam.specs[:d]])
+    return np.array([_fsum(term_array(spec, ms)) for spec in fam.specs[:d]])
 
 
 # ---------------------------------------------------------------------------

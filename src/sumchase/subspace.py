@@ -37,6 +37,15 @@ DEFAULT_GROWTH_THRESHOLD = 0.5
 
 _RATIO_BOUNDED = 1.05
 _RATIO_DIVERGENT = 1.5
+
+#: What rounding alone can leave of a combination that cancels exactly,
+#: relative to ``GrowthStats.scale``: 64 units of roundoff ``2**-53``.
+#: Each computed ``c * a_m`` and each addition of the k nonzero terms
+#: errs by at most one unit of the magnitudes summed so far, and numpy's
+#: power and a few levels of composite nesting add a few units per term;
+#: 64 covers families of up to a few dozen series and shallow nesting.
+_ROUNDING_BOUND = 64 * 2.0 ** -53
+
 _CHUNK = 1 << 15
 
 
@@ -159,16 +168,29 @@ def _normalize_exact(vec: list[Fraction]) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class GrowthStats:
-    """Absolute partial sums of one coefficient combination."""
+    """Absolute partial sums of one coefficient combination.
+
+    ``scale`` is the sum of ``|c_i * a^i_m|`` over the same indices and
+    every nonzero coefficient: the magnitude that rounding errors in the
+    combination are measured against.
+    """
 
     abs_sum: float
     half_sum: float
     ratio: float
     truncation: int
+    scale: float
 
     def verdict(self, threshold: float = DEFAULT_GROWTH_THRESHOLD) -> str:
         """Classify the growth evidence; authority stays with declared
-        structure, so anything short of a clear signal is inconclusive."""
+        structure, so anything short of a clear signal is inconclusive.
+
+        An ``abs_sum`` within the rounding bound of ``scale`` is an exact
+        cancellation seen through rounding, so it reads "member" whatever
+        its halves' ratio.
+        """
+        if self.abs_sum <= _ROUNDING_BOUND * self.scale:
+            return "member"
         if self.ratio >= _RATIO_DIVERGENT:
             return "divergent"
         if (self.ratio <= _RATIO_BOUNDED
@@ -179,7 +201,8 @@ class GrowthStats:
 
 def growth_statistics(fam: FamilyVector, coeffs: Sequence[float],
                       truncation: int = DEFAULT_TRUNCATION) -> GrowthStats:
-    """Sum |<coeffs, a_m>| over m < truncation, recording the halfway value."""
+    """Sum |<coeffs, a_m>| over m < truncation, recording the halfway
+    value and the scale ``sum |c_i * a^i_m|``."""
     if truncation < 4:
         raise InputError("truncation too small for a meaningful growth test")
     dim = len(coeffs)
@@ -190,6 +213,7 @@ def growth_statistics(fam: FamilyVector, coeffs: Sequence[float],
         raise InputError("coefficients must be finite")
     half = truncation // 2
     totals = [0.0, 0.0]
+    scale = 0.0
     for part, (lo, hi) in enumerate(((0, half), (half, truncation))):
         acc = 0.0
         for start in range(lo, hi, _CHUNK):
@@ -197,7 +221,9 @@ def growth_statistics(fam: FamilyVector, coeffs: Sequence[float],
             combo = np.zeros(ms.shape, dtype=np.float64)
             for c, spec in zip(coeffs, fam.specs[:dim]):
                 if c != 0.0:
-                    combo += c * term_array(spec, ms)
+                    scaled = c * term_array(spec, ms)
+                    combo += scaled
+                    scale += float(np.abs(scaled, out=scaled).sum())
             acc += float(np.abs(combo).sum())
         totals[part] = acc
     half_sum = totals[0]
@@ -206,7 +232,7 @@ def growth_statistics(fam: FamilyVector, coeffs: Sequence[float],
         ratio = abs_sum / half_sum
     else:
         ratio = 1.0 if abs_sum == 0.0 else math.inf
-    return GrowthStats(abs_sum, half_sum, ratio, truncation)
+    return GrowthStats(abs_sum, half_sum, ratio, truncation, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def test_criterion_5_block_envelope(rad4, chain_main):
             assert worst < bound, (
                 f"condition with eps={cond.eps}: block prefix {worst} "
                 f"reaches {bound}")
-            if suffix:
+            if len(suffix):
                 tightest = min(tightest, bound - worst)
         note["detail"] = (f"{len(chain.conditions)} conditions, smallest "
                           f"margin {tightest:.4f}")

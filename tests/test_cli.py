@@ -194,9 +194,14 @@ _GOOD_CERT = ("certificate-version: 1\n"
     ("eps=3\n", "eps=3\nlink 1->0: block_prefix_max=nan "
                 "block_sum_norm=0.1\n"),
     ("0.1,-0.2", "0.1,-0.2\udcff"),
+    ("f= ", "f=0,9223372036854775808 "),
+    ("f= ", "f=-9223372036854775809 "),
+    ("f= ", "f=1,,2 "),
+    ("f= ", "f=1-2 "),
 ], ids=["version", "target", "nan-target", "inf-schedule", "index",
         "zero-denominator", "dim", "condition-number", "link-number",
-        "nan-norm", "not-utf8"])
+        "nan-norm", "not-utf8", "index-past-int64", "index-below-int64",
+        "empty-index", "sign-inside-index"])
 def test_malformed_certificate_is_an_input_error(tmp_path, old, new):
     spec = write_family_file(tmp_path / "pair.json", [RAD_PAIR_ENTRIES])
     cert = tmp_path / "bad.cert"

@@ -36,7 +36,7 @@ def test_certified_le_is_exact_for_empty_sums():
 
 def test_condition_fields_are_validated():
     cond = Condition((3, 1), 2, Fraction(1, 3))
-    assert cond.injection == (3, 1)
+    assert tuple(cond.injection) == (3, 1)
     with pytest.raises(InputError):
         Condition((), 0, Fraction(1, 2))
     with pytest.raises(InputError):
@@ -47,7 +47,7 @@ def test_condition_fields_are_validated():
 
 def test_initial_condition_clears_target_and_term_scale():
     cond = initial_condition(PAIR, TARGETS)
-    assert cond.injection == ()
+    assert tuple(cond.injection) == ()
     assert cond.dim == 1
     assert cond.eps == Fraction(3)
     report = is_condition(cond, PAIR, TARGETS)
@@ -62,11 +62,29 @@ def test_condition_check_flags_duplicates():
     assert not report.bullet("injective").ok
 
 
-def test_condition_check_flags_indices_outside_int64():
-    cond = Condition((0, 2 ** 63), 1, Fraction(3))
-    report = is_condition(cond, PAIR, TARGETS)
-    assert report.first_failure() == "injective"
-    assert report.bullet("injective").note == "out-of-range"
+def test_condition_rejects_indices_outside_int64():
+    for injection in ((0, 2 ** 63), (-2 ** 63 - 1,),
+                      np.array([2 ** 64 - 1], dtype=np.uint64)):
+        with pytest.raises(InputError, match="int64"):
+            Condition(injection, 1, Fraction(3))
+    edge = Condition((2 ** 63 - 1, -2 ** 63), 1, Fraction(3))
+    assert tuple(edge.injection) == (2 ** 63 - 1, -2 ** 63)
+
+
+def test_condition_injection_is_a_read_only_int64_array():
+    cond = Condition([3, 1], 2, Fraction(1, 3))
+    assert cond.injection.dtype == np.int64
+    with pytest.raises(ValueError):
+        cond.injection[0] = 5
+    source = np.array([3, 1], dtype=np.int64)
+    copied = Condition(source, 2, Fraction(1, 3))
+    source[0] = 7
+    assert tuple(copied.injection) == (3, 1)
+    assert copied == cond and hash(copied) == hash(cond)
+    assert cond != Condition((3, 1, 0), 2, Fraction(1, 3))
+    assert cond != Condition((3, 1), 1, Fraction(1, 3))
+    assert cond != Condition((3, 1), 2, Fraction(1, 4))
+    assert len({cond, copied, Condition((1, 3), 2, Fraction(1, 3))}) == 2
 
 
 def test_condition_check_flags_excessive_deviation():
@@ -215,7 +233,7 @@ def test_extension_rejects_invalid_inputs():
 def test_chain_run_produces_a_descending_chain(small_chain):
     fam, targets, chain, report, _ = small_chain
     assert len(chain.conditions) == 2
-    assert chain.conditions[0].injection == ()
+    assert tuple(chain.conditions[0].injection) == ()
     assert [c.dim for c in chain.conditions] == [1, 2]
     assert chain.conditions[1].eps < chain.conditions[0].eps
     assert chain.conditions[1].eps <= Fraction(1)
@@ -257,7 +275,7 @@ def test_zero_rounds_returns_just_the_initial_condition():
     chain, report = run(PAIR, TARGETS, 0)
     assert len(chain.conditions) == 1
     assert chain.checks == ()
-    assert chain.final().injection == ()
+    assert tuple(chain.final().injection) == ()
     assert report is chain.condition_reports[-1]
 
 

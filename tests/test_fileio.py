@@ -1,8 +1,10 @@
 """Family files, trace CSVs and certificate round-trips."""
+import hashlib
 import io
 import json
 import multiprocessing
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 from sumchase import (InputError, abs_power, composite, family,
                       parse_certificate, parse_spec_file, power_alternating,
-                      rademacher_harmonic, trace_rows, write_certificate,
+                      rademacher_harmonic, run, trace_rows, write_certificate,
                       write_trace)
 from sumchase import fileio
 from sumchase.conditions import CertificateChain, Condition
@@ -359,7 +361,7 @@ def test_certificate_rejects_damaged_files(tmp_path):
     good.write_text("certificate-version: 1\n"
                     "condition 0: f= d=1 eps=3\n")
     parsed = parse_certificate(str(good))
-    assert parsed.conditions[0].injection == ()
+    assert tuple(parsed.conditions[0].injection) == ()
     assert parsed.conditions[0].eps == Fraction(3)
 
     missing_version = tmp_path / "no_version.cert"
@@ -387,3 +389,82 @@ def test_certificate_files_are_byte_stable(small_chain, tmp_path):
     write_certificate(str(a), chain, targets)
     write_certificate(str(b), chain, targets)
     assert a.read_bytes() == b.read_bytes()
+
+
+#: The benchmark's chain request without its target jitter: levels 0-3,
+#: these targets, two rounds.
+BENCH_TARGETS = (0.1, -0.2, 0.3, 0.0)
+BENCH_CERT_SHA256 = (
+    "1d407651c160183ec6708493198804bc291276c460e92232ca54dbabf4ac33de")
+BENCH_TRACE_SHA256 = (
+    "0f3211e0316c60f96cc8304b5845369451d089d541dbb7c069bd1c5a7b38ede3")
+
+
+@pytest.fixture(scope="module")
+def bench_chain(tmp_path_factory):
+    fam = family(*(rademacher_harmonic(level) for level in range(4)))
+    chain, _ = run(fam, BENCH_TARGETS, 2)
+    path = tmp_path_factory.mktemp("bench") / "chain.cert"
+    write_certificate(str(path), chain, BENCH_TARGETS)
+    return fam, chain, path
+
+
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def test_benchmark_chain_certificate_and_trace_bytes_are_pinned(bench_chain):
+    fam, chain, path = bench_chain
+    assert _sha256(path) == BENCH_CERT_SHA256
+    trace = path.with_name("chain.trace")
+    final = chain.final()
+    write_trace(str(trace), trace_rows(fam, final.injection, final.dim,
+                                       chain))
+    digest = _sha256(trace)
+    trace.unlink()
+    assert digest == BENCH_TRACE_SHA256
+
+
+def test_certificate_parse_holds_few_bytes_per_index(bench_chain):
+    _, chain, path = bench_chain
+    indices = sum(len(cond.injection) for cond in chain.conditions)
+    tracemalloc.start()
+    try:
+        data = parse_certificate(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.conditions == chain.conditions
+    assert peak <= 64 * indices, f"{peak / indices:.1f} B per index"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("", ()),
+    ("4,0,17", (4, 0, 17)),
+    ("-1,+2,007", (-1, 2, 7)),
+    ("9223372036854775807,-9223372036854775808",
+     (2 ** 63 - 1, -2 ** 63)),
+    ("0000000000000000000000012", (12,)),
+    ("9223372036854775808", None),
+    ("-9223372036854775809", None),
+    ("12,99999999999999999999999999", None),
+    ("1,,2", None), ("1,", None), (",1", None), ("1-2", None),
+    ("-", None), ("1,-", None), ("+-1", None), ("1_0", None),
+    ("1.0", None), ("0x10", None), ("١", None), ("²", None),
+])
+def test_certificate_indices_parse_as_int64_or_fail(tmp_path, text,
+                                                    expected):
+    path = tmp_path / "f.cert"
+    path.write_text(f"certificate-version: 1\n"
+                    f"condition 0: f={text} d=1 eps=3\n", encoding="utf-8")
+    if expected is None:
+        with pytest.raises(InputError, match="f must be|outside int64"):
+            parse_certificate(str(path))
+        return
+    injection = parse_certificate(str(path)).conditions[0].injection
+    assert injection.dtype == np.int64
+    assert tuple(injection) == expected

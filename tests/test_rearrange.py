@@ -157,7 +157,7 @@ def test_cover_without_sign_lanes_appends_the_missing_indices_in_order():
     covered = cover_indices(fam, base, 12, (0.1, 0.2))
     assert covered.injection == (5, 2, 9, 0, 1, 3, 4, 6, 7, 8, 10, 11)
     block = [7, 3, 11, 0, 8]
-    assert order_block_lanes(fam, block, 2, math.inf) == [0, 3, 7, 8, 11]
+    assert order_block_lanes(fam, block, 2, math.inf).tolist() == [0, 3, 7, 8, 11]
 
 
 def _chase_outcomes(monkeypatch, reverse):
@@ -223,13 +223,13 @@ def test_projected_depth_saturates_instead_of_overflowing(p, mass):
 
 def test_block_selection_stays_disjoint_from_used_indices():
     fam = family(rademacher_harmonic(0), rademacher_harmonic(1))
-    used = set(range(10))
+    used = rearrange.UsedIndices(range(10))
     picks = select_block_indices(fam, 2, np.array([0.3, -0.2]), used, 0.01)
-    assert picks
+    assert len(picks)
     assert len(picks) == len(set(picks))
     assert min(picks) >= 10
     # the selection owns its picks afterwards
-    assert set(picks) <= used
+    assert used.contains(picks).all()
 
 
 def test_block_selection_approximates_the_residual():
@@ -247,8 +247,8 @@ def test_block_selection_approximates_the_residual():
         residual = np.array([rng.uniform(-0.4, 0.4) for _ in range(dim)])
         if case % 10 == 9:
             residual[:] = 0.0
-        used = set(rng.sample(range(400), rng.choice((0, 30, 200))))
-        prior = set(used)
+        prior = set(rng.sample(range(400), rng.choice((0, 30, 200))))
+        used = rearrange.UsedIndices(sorted(prior))
         tol = rng.choice((0.05, 0.01, 0.002))
         boosts = None
         if case % 3 == 2:
@@ -259,7 +259,11 @@ def test_block_selection_approximates_the_residual():
         assert not prior & set(picks), where
         got = vector_terms(fam, picks, dim).reshape(-1, dim).sum(axis=0)
         assert np.linalg.norm(got - residual) < tol + 1e-12, where
-        assert bool(picks) == bool(residual.any() or boosts), where
+        assert bool(len(picks)) == bool(residual.any() or boosts), where
+
+
+def _listed(order):
+    return None if order is None else order.tolist()
 
 
 def test_lane_ordering_contract():
@@ -286,12 +290,14 @@ def test_lane_ordering_contract():
             threshold = rng.uniform(0.3, 3.0) * (2.0 if exponent < 1e-9
                                                  else 1.0)
         where = (case, dim, modulus, exponent, threshold)
-        got = order_block_lanes(fam, block, dim, threshold, modulus=modulus)
-        assert got == order_block_lanes(fam, block, dim, threshold,
-                                        modulus=modulus)
+        got = _listed(order_block_lanes(fam, block, dim, threshold,
+                                        modulus=modulus))
+        assert got == _listed(order_block_lanes(fam, block, dim, threshold,
+                                                modulus=modulus))
         # the order does not depend on the limit, so the unlimited call
         # shows which running sums the limited one checked
-        merged = order_block_lanes(fam, block, dim, math.inf, modulus=modulus)
+        merged = order_block_lanes(fam, block, dim, math.inf,
+                                   modulus=modulus).tolist()
         assert sorted(merged) == sorted(block), where
         rows = vector_terms(fam, merged, dim).reshape(-1, dim)
         norms = np.linalg.norm(np.cumsum(rows, axis=0), axis=1)
@@ -332,3 +338,124 @@ def test_pair_chase_contract_over_random_targets(x0, x1):
     plan = chase_target(fam, None, (x0, x1), 0.02, seed=2)
     sums = [partial_sum(fam[i], plan.injection) for i in range(2)]
     assert math.hypot(sums[0] - x0, sums[1] - x1) < 0.02
+
+
+def _set_take(struct, residues, mass, lane_tol, used, scan_cap):
+    """The take-if-fits lane scan as a scalar loop over a used set."""
+    p = struct.exponent
+    picks = []
+    remaining = mass
+    block = 0
+    ordered = sorted(residues)
+    while remaining >= lane_tol:
+        base = block * struct.modulus
+        if base > scan_cap:
+            break
+        for r in ordered:
+            m = base + r
+            if m in used:
+                continue
+            magnitude = (m + 1.0) ** -p
+            if magnitude <= remaining:
+                picks.append(m)
+                used.add(m)
+                remaining -= magnitude
+                if remaining < lane_tol:
+                    break
+        block += 1
+    return picks
+
+
+def _set_first_unused(struct, residues, used):
+    block = 0
+    while True:
+        for r in sorted(residues):
+            if block * struct.modulus + r not in used:
+                return block * struct.modulus + r
+        block += 1
+
+
+def test_mask_lane_scan_matches_the_set_scan():
+    """The windowed scan over a used mask picks exactly the indices of
+    the scalar loop over a used set, across window boundaries, gapped
+    levels, fractional exponents, scan caps and crowded used sets."""
+    rng = random.Random(31)
+    for case in range(24):
+        exponent = (1.0, 0.75, 0.5)[case % 3]
+        dim = 1 + case % 3
+        levels = sorted(rng.sample(range(6), dim))
+        fam = family(*(rademacher_harmonic(level, exponent)
+                       for level in levels))
+        struct = rearrange._lane_structure(fam, dim)
+        span = rng.choice((100, 5_000, 300_000))
+        used = set(rng.sample(range(span), rng.randrange(span // 2)))
+        if case % 4 == 3:
+            used |= set(range(span // 3))
+        mask = rearrange.UsedIndices(list(used))
+        for residues in struct.lane_residues:
+            assert rearrange._first_unused(struct, residues, mask) == \
+                _set_first_unused(struct, residues, used)
+            mass = rng.choice((1e-9, 0.05, 0.4, 2.0))
+            # scans end by depth lane_tol ** (-1 / exponent) <= 250_000
+            lane_tol = rng.choice((1e-2, 1e-4, 4e-6)) ** exponent
+            scan_cap = rng.choice((math.inf, math.inf, 40_000, 2_000_000))
+            where = (case, levels, exponent, residues[:3], mass, lane_tol,
+                     scan_cap)
+            expected = _set_take(struct, residues, mass, lane_tol,
+                                 set(used), scan_cap)
+            got = rearrange._take_from_lane(struct, residues, mass,
+                                            lane_tol, mask, scan_cap)
+            assert got.dtype == np.int64, where
+            assert got.tolist() == expected, where
+
+
+def test_lane_scan_crosses_many_windows():
+    # this mass mines the lane past four full windows of 2**16 members
+    fam = family(rademacher_harmonic(0), rademacher_harmonic(1))
+    struct = rearrange._lane_structure(fam, 2)
+    used = set(range(0, 600_000, 3))
+    mask = rearrange.UsedIndices(list(used))
+    residues = struct.lane_residues[1]
+    expected = _set_take(struct, residues, 2.7, 3e-7, set(used), math.inf)
+    got = rearrange._take_from_lane(struct, residues, 2.7, 3e-7, mask,
+                                    math.inf)
+    assert max(expected) // struct.modulus > 4 * rearrange._SCAN_WINDOW
+    assert got.tolist() == expected
+
+
+def test_used_indices_grow_by_doubling_and_read_past_their_end():
+    used = rearrange.UsedIndices([3, 5])
+    assert used.contains(np.array([2, 3, 5, 6, 10 ** 9])).tolist() == [
+        False, True, True, False, False]
+    assert used.unused_below(8).tolist() == [0, 1, 2, 4, 6, 7]
+    used.add(np.array([7]))
+    assert len(used._bits) == 12
+    used.add([100])
+    assert len(used._bits) == 101
+    assert used.unused_below(0).size == 0
+    with pytest.raises(InputError):
+        used.add([-1])
+
+
+def test_lane_masses_use_the_lane_period_on_gapped_levels():
+    """A lane of levels 0, 1 and 12 holds 1024 of the 8192 residues, so
+    its members are 8 apart: costs projected with that period stay
+    finite, and an axis load spreads evenly over both of its pairs."""
+    fam = family(*(rademacher_harmonic(level) for level in (0, 1, 12)))
+    struct = rearrange._lane_structure(fam, 3)
+    period = struct.modulus // len(struct.lane_residues[0])
+    assert (struct.modulus, period) == (1 << 13, 8)
+    masses = rearrange._lane_masses(struct, np.array([0.5, 0.0, 0.0]), {})
+    pairs = rearrange._axis_pairs(struct.sign_vectors, 0, 1)
+    assert len(pairs) == 2
+    loads = [masses.get(sig, 0.0) for sig, _ in pairs]
+    assert min(loads) > 0.0
+    assert abs(loads[0] - loads[1]) <= 0.5 / 2 / rearrange._FILL_CHUNKS
+    pair = family(rademacher_harmonic(0), rademacher_harmonic(12))
+    pair_struct = rearrange._lane_structure(pair, 2)
+    pair_masses = rearrange._lane_masses(pair_struct, np.array([0.1, 0.2]),
+                                         {})
+    for mass in list(masses.values()) + list(pair_masses.values()):
+        assert math.isfinite(rearrange._projected_depth(1.0, mass, 8, 1.0))
+    for mass in pair_masses.values():
+        assert math.isfinite(rearrange._projected_depth(1.0, mass, 4, 1.0))

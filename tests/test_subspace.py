@@ -12,7 +12,7 @@ from sumchase import (CoefficientVector, InputError, abs_power, composite,
                       k_space_basis, membership_check,
                       predicted_dependent_limit, r_space, rademacher_harmonic,
                       sum_range, term)
-from sumchase.series import reduce_spec
+from sumchase.series import reduce_spec, term_array
 
 ZETA2 = 1.6449340668482264
 
@@ -149,6 +149,35 @@ def test_growth_statistics_on_a_cancelling_combination():
     assert stats.abs_sum < 2.0
     assert stats.ratio < 1.01
     assert stats.verdict() == "member"
+
+
+def test_kernel_basis_survives_rounding_noise_in_an_exact_relation():
+    # s3 - s2 + 4 s0 cancels exactly, but its computed terms leave
+    # rounding noise whose halves' ratio alone would read as growth
+    s0 = rademacher_harmonic(1, 0.75)
+    s1 = composite([(-2.0, s0)])
+    s2 = rademacher_harmonic(1, 1.0)
+    s3 = composite([(1.0, s2), (-2.0, s0), (1.0, s1)])
+    fam = family(s0, s1, s2, s3)
+    basis = k_space_basis(fam, truncation=256)
+    assert [(cv.support, cv.values) for cv in basis] == [
+        ((0, 1), (2.0, 1.0)), ((0, 2, 3), (4.0, -1.0, 1.0))]
+    noise = growth_statistics(fam, [4.0, 0.0, -1.0, 1.0], truncation=256)
+    assert 0.0 < noise.abs_sum < 1e-12 * noise.scale
+    assert noise.ratio >= 1.5
+    assert noise.verdict() == "member"
+
+
+def test_growth_scale_sums_the_scaled_terms():
+    fam = family(rademacher_harmonic(0), rademacher_harmonic(1))
+    stats = growth_statistics(fam, [2.0, -3.0], truncation=64)
+    ms = np.arange(64)
+    expected = (np.abs(2.0 * term_array(fam[0], ms)).sum()
+                + np.abs(-3.0 * term_array(fam[1], ms)).sum())
+    assert stats.scale == pytest.approx(expected, rel=1e-12)
+    assert stats.abs_sum <= stats.scale
+    unit = growth_statistics(fam, [1.0, 0.0], truncation=64)
+    assert unit.abs_sum == pytest.approx(unit.scale, rel=1e-12)
 
 
 def test_growth_statistics_rejects_tiny_truncations():
