@@ -121,7 +121,11 @@ def parse_family(entries: Sequence[object], where: str = "family") -> FamilyVect
 
 
 def parse_spec_file(path: str) -> list[FamilyVector]:
-    """Load every family from a JSON family file."""
+    """Load every family from a JSON family file.
+
+    A file nested deeper than the interpreter's recursion limit allows is
+    an input error.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -131,6 +135,8 @@ def parse_spec_file(path: str) -> list[FamilyVector]:
             f"{exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: family file is not UTF-8 text") from exc
+    except RecursionError:
+        raise _too_deep(path) from None
     if not isinstance(data, dict) or "families" not in data:
         raise InputError(f"{path}: root object must carry a families list")
     families = data["families"]
@@ -140,8 +146,15 @@ def parse_spec_file(path: str) -> list[FamilyVector]:
     for pos, entries in enumerate(families):
         if not isinstance(entries, list) or not entries:
             raise InputError(f"{path}: families[{pos}] must be a nonempty list")
-        out.append(parse_family(entries, where=f"families[{pos}]"))
+        try:
+            out.append(parse_family(entries, where=f"families[{pos}]"))
+        except RecursionError:
+            raise _too_deep(path) from None
     return out
+
+
+def _too_deep(path: str) -> InputError:
+    return InputError(f"{path}: series descriptions are nested too deeply")
 
 
 # ---------------------------------------------------------------------------

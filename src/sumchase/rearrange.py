@@ -5,7 +5,10 @@ next unused positive-term index while the running sum is at or below the
 target, otherwise the next unused negative-term index.  Once the running
 sum first crosses the target, its distance from the target is bounded by
 the largest unused term magnitude at every later crossing, so the greedy
-loop converges whenever the series is conditionally convergent.
+loop converges whenever the series is conditionally convergent.  Each
+sign has its own stream of indices, read from ``series.term_array`` in
+windows; every scan below reads its terms from there too, so the picks
+rest on the same values as the sums and checks.
 
 The multi-series routine (chase_target) works in rounds.  Each round
 solves for how much term mass to draw from each sign class: for families
@@ -27,7 +30,6 @@ recomputed from scratch; verify_prefix does exactly that.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ from .errors import (BudgetExhaustedError, InputError, PreconditionError,
                      StructureError)
 from .series import (FamilyVector, SeriesSpec, index_problems,
                      is_conditionally_convergent, partial_sum_vector,
-                     reduce_spec, term, vector_terms)
+                     magnitude_array, reduce_spec, term_array, vector_terms)
 
 _DEFAULT_MAX_ROUNDS = 48
 
@@ -126,41 +128,23 @@ def plan_from_injection(fam: FamilyVector, injection: Sequence[int],
 # Single series
 # ---------------------------------------------------------------------------
 
-class _SignScanner:
-    """Finds the next unused index of a requested sign, scanning upward.
+def _signed_windows(spec: SeriesSpec, want: int,
+                    used: UsedIndices | None = None, stop: int | None = None
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Ascending runs of the indices below ``stop``, not in ``used``, whose
+    terms have the sign ``want``, each with the terms' magnitudes."""
+    for ms in _lane_windows(1, (0,), stop):
+        if used is not None:
+            ms = ms[~used.contains(ms)]
+        values = term_array(spec, ms)
+        keep = values > 0.0 if want > 0 else values < 0.0
+        yield ms[keep], np.abs(values[keep])
 
-    Keeps one pointer per sign so the whole run touches each index a
-    bounded number of times.  Single-pattern specs get a closed-form fast
-    path; anything else falls back to evaluating terms.
-    """
 
-    def __init__(self, spec: SeriesSpec, used: set[int]):
-        self._spec = spec
-        self._used = used
-        self._next = {1: 0, -1: 0}
-        red = reduce_spec(spec)
-        if len(red.patterns) == 1 and not red.absolute:
-            level, p, coeff = red.patterns[0]
-            self._fast = (level, p, coeff)
-        else:
-            self._fast = None
-
-    def term_at(self, m: int) -> float:
-        if self._fast is not None:
-            level, p, coeff = self._fast
-            sign = -1.0 if (m >> level) & 1 else 1.0
-            return coeff * sign * (m + 1.0) ** -p
-        return term(self._spec, m)
-
-    def next_index(self, sign: int) -> tuple[int, float]:
-        m = self._next[sign]
-        while True:
-            if m not in self._used:
-                value = self.term_at(m)
-                if (value > 0.0) if sign > 0 else (value < 0.0):
-                    self._next[sign] = m + 1
-                    return m, value
-            m += 1
+def _sign_stream(spec: SeriesSpec, sign: int) -> Iterator[tuple[int, float]]:
+    """Every index whose term has the given sign, ascending, with its term."""
+    for ms, sizes in _signed_windows(spec, sign):
+        yield from zip(ms.tolist(), (sign * sizes).tolist())
 
 
 def _check_eps_budget(eps: float, budget: int) -> None:
@@ -187,8 +171,8 @@ def riemann_rearrange(spec: SeriesSpec, target: float, eps: float,
     if not math.isfinite(target):
         raise InputError("target must be finite")
     fam = FamilyVector((spec,))
-    used: set[int] = set()
-    scanner = _SignScanner(spec, used)
+    # the two streams split the indices, so neither can repeat the other's
+    streams = {sign: _sign_stream(spec, sign) for sign in (1, -1)}
     injection: list[int] = []
     running = 0.0
     best_dev = abs(running - target)
@@ -203,9 +187,8 @@ def riemann_rearrange(spec: SeriesSpec, target: float, eps: float,
         if len(injection) >= budget:
             break
         sign = 1 if running <= target else -1
-        m, value = scanner.next_index(sign)
+        m, value = next(streams[sign])
         injection.append(m)
-        used.add(m)
         running += value
         dev = abs(running - target)
         if dev < best_dev:
@@ -417,39 +400,29 @@ def _lane_windows(modulus: int, residues: Sequence[int],
         blocks *= 2
 
 
-def _magnitudes(ms: np.ndarray, p: float) -> np.ndarray:
-    """``(m + 1.0) ** -p`` for each index, with Python's libm ``pow``."""
-    bases = (ms.astype(np.float64) + 1.0).tolist()
-    return np.fromiter(map(math.pow, bases, itertools.repeat(-p)),
-                       dtype=np.float64, count=len(bases))
-
-
-def _take_from_lane(struct: _LaneStructure, residues: Sequence[int],
-                    mass: float, lane_tol: float, used: UsedIndices,
-                    scan_cap: float) -> np.ndarray:
-    """Take-if-fits over the lane's unused members in ascending order,
-    from ``mass`` down to below ``lane_tol``, in blocks starting at most
-    ``scan_cap``.
+def _take_if_fits(windows: Iterator[tuple[np.ndarray, np.ndarray]],
+                  remaining: float, tol: float) -> np.ndarray:
+    """Take-if-fits over the candidates of ``windows``, runs of
+    ``(indices, sizes)`` in scan order, from ``remaining`` down to below
+    ``tol``: the picks as an int64 array.
 
     A run of takes is one ``np.cumsum`` over ``[remaining, -a_1, -a_2,
     ...]``, the subtractions of a scalar loop in the same order.  In IEEE
     arithmetic ``fl(r - a) >= 0`` exactly when ``a <= r``, so the first
-    entry below ``lane_tol`` either is a take that ends the scan
-    (nonnegative) or marks the first member that does not fit.
+    entry below ``tol`` either is a take that ends the scan (nonnegative)
+    or marks the first candidate that does not fit.  The next window is
+    read only while ``tol`` or more remains.
     """
-    picks: list[np.ndarray] = []
-    remaining = mass
-    stop_block = (None if scan_cap == math.inf
-                  else int(scan_cap // struct.modulus) + 1)
-    for members in _lane_windows(struct.modulus, residues, stop_block):
-        if not remaining >= lane_tol:
+    picks = [np.zeros(0, dtype=np.int64)]
+    while remaining >= tol:
+        window = next(windows, None)
+        if window is None:
             break
-        free = members[~used.contains(members)]
-        sizes = _magnitudes(free, struct.exponent)
+        free, sizes = window
         pos = 0
-        while pos < len(sizes) and remaining >= lane_tol:
+        while pos < len(sizes) and remaining >= tol:
             left = np.cumsum(np.concatenate(([remaining], -sizes[pos:])))
-            low = np.flatnonzero(left[1:] < lane_tol)
+            low = np.flatnonzero(left[1:] < tol)
             if not low.size:
                 picks.append(free[pos:])
                 remaining = float(left[-1])
@@ -463,8 +436,22 @@ def _take_from_lane(struct: _LaneStructure, residues: Sequence[int],
             remaining = float(left[end])
             fits = np.flatnonzero(sizes[pos + end + 1:] <= remaining)
             pos = pos + end + 1 + int(fits[0]) if fits.size else len(sizes)
-    return (np.concatenate(picks) if picks
-            else np.zeros(0, dtype=np.int64))
+    return np.concatenate(picks)
+
+
+def _take_from_lane(struct: _LaneStructure, residues: Sequence[int],
+                    mass: float, lane_tol: float, used: UsedIndices,
+                    scan_cap: float) -> np.ndarray:
+    """Take-if-fits over the lane's unused members in ascending order,
+    from ``mass`` down to below ``lane_tol``, in blocks starting at most
+    ``scan_cap``; a member's size is its term magnitude
+    (``magnitude_array``)."""
+    stop_block = (None if scan_cap == math.inf
+                  else int(scan_cap // struct.modulus) + 1)
+    free = (members[~used.contains(members)] for members
+            in _lane_windows(struct.modulus, residues, stop_block))
+    return _take_if_fits(((ms, magnitude_array(ms, struct.exponent))
+                          for ms in free), mass, lane_tol)
 
 
 def _first_unused(struct: _LaneStructure, residues: Sequence[int],
@@ -605,21 +592,15 @@ def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
     return idx[order]
 
 
-def _select_scalar(spec: SeriesSpec, residual: float, used: set[int],
-                   tol: float, scan_cap: float) -> list[int]:
-    scanner = _SignScanner(spec, used)
-    picks: list[int] = []
-    remaining = abs(residual)
+def _select_scalar(spec: SeriesSpec, residual: float, used: UsedIndices,
+                   tol: float, scan_cap: int) -> np.ndarray:
+    """Take-if-fits over the unused indices up to ``scan_cap`` whose terms
+    have the sign of ``residual``, from ``|residual|`` down to below
+    ``tol``; adds the picks to ``used``."""
     want = 1 if residual > 0.0 else -1
-    m = 0
-    while remaining >= tol and m <= scan_cap:
-        if m not in used:
-            value = scanner.term_at(m)
-            if (value > 0.0 if want > 0 else value < 0.0) and abs(value) <= remaining:
-                picks.append(m)
-                used.add(m)
-                remaining -= abs(value)
-        m += 1
+    picks = _take_if_fits(_signed_windows(spec, want, used, scan_cap + 1),
+                          abs(residual), tol)
+    used.add(picks)
     return picks
 
 
@@ -661,8 +642,7 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
         raise StructureError(
             "chasing several series at once needs dyadic sign-pattern "
             "structure; decompose the family first")
-    # the lane scans read a mask; the scalar scan looks indices up one by one
-    used = UsedIndices(taken) if lanes_ok else set(injection)
+    used = UsedIndices(taken)
     appended = 0
     # the deviation and length of the closest prefix so far, as in
     # riemann_rearrange; its plan is built only when raising

@@ -174,48 +174,31 @@ def composite(terms: Sequence[tuple[float, SeriesSpec]],
 # Term evaluation
 # ---------------------------------------------------------------------------
 
-def term(spec: SeriesSpec, m: int) -> float:
-    """Value of the series at index ``m`` (indices start at 0)."""
-    if m < 0:
-        raise InputError(f"index must be nonnegative, got {m}")
-    if spec.kind == KIND_RADEMACHER:
-        sign = -1.0 if (m >> spec.level) & 1 else 1.0
-        return sign * (m + 1.0) ** -spec.exponent
-    if spec.kind == KIND_ALTERNATING:
-        sign = -1.0 if m & 1 else 1.0
-        return sign * (m + 1.0) ** -spec.exponent
-    if spec.kind == KIND_ABS_POWER:
-        value = spec.scale * (m + 1.0) ** -spec.exponent
-        if spec.sign_level is not None and (m >> spec.sign_level) & 1:
-            value = -value
-        return value
-    total = 0.0
-    for coeff, ref in spec.combo:
-        total += coeff * term(ref, m)
-    if spec.perturbation is not None:
-        total += term(spec.perturbation, m)
-    return total
+def magnitude_array(ms: np.ndarray, p: float) -> np.ndarray:
+    """``(m + 1) ** -p`` for each index of the int64 array ``ms``: the
+    power behind every term (:func:`term_array`) and every magnitude a
+    lane scan reads, so scans, sums and checks agree bit for bit."""
+    return (ms + 1.0) ** -p
 
 
 def term_array(spec: SeriesSpec, ms: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`term`; partial sums and term rows come from here.
+    """The terms at each index of ``ms``: the package's one evaluator.
 
-    May differ from the scalar path by one rounding step, integer
-    exponents included: numpy computes ``x ** -1.0`` as a correctly
-    rounded reciprocal, while libm ``pow`` misses at some indices
-    (``m = 1922`` for the alternating harmonic series, for one).
+    Powers are numpy's ``x ** -p`` (:func:`magnitude_array`), whose last
+    bit may depend on the CPU features numpy dispatches to; it does not
+    depend on the length or layout of ``ms``.
     """
     ms = np.asarray(ms, dtype=np.int64)
     if ms.size and int(ms.min()) < 0:
         raise InputError("indices must be nonnegative")
     if spec.kind == KIND_RADEMACHER:
         signs = 1.0 - 2.0 * ((ms >> spec.level) & 1)
-        return signs * (ms + 1.0) ** -spec.exponent
+        return signs * magnitude_array(ms, spec.exponent)
     if spec.kind == KIND_ALTERNATING:
         signs = 1.0 - 2.0 * (ms & 1)
-        return signs * (ms + 1.0) ** -spec.exponent
+        return signs * magnitude_array(ms, spec.exponent)
     if spec.kind == KIND_ABS_POWER:
-        values = spec.scale * (ms + 1.0) ** -spec.exponent
+        values = spec.scale * magnitude_array(ms, spec.exponent)
         if spec.sign_level is not None:
             values = values * (1.0 - 2.0 * ((ms >> spec.sign_level) & 1))
         return values
@@ -225,6 +208,18 @@ def term_array(spec: SeriesSpec, ms: np.ndarray) -> np.ndarray:
     if spec.perturbation is not None:
         total += term_array(spec.perturbation, ms)
     return total
+
+
+def term(spec: SeriesSpec, m: int) -> float:
+    """Value of the series at index ``m`` (indices start at 0), read from
+    :func:`term_array`."""
+    if not isinstance(m, numbers.Integral) or m < 0:
+        raise InputError(f"index must be a nonnegative integer, got {m!r}")
+    try:
+        ms = np.array([m], dtype=np.int64)
+    except OverflowError:
+        raise InputError(f"index {m} is outside int64") from None
+    return float(term_array(spec, ms)[0])
 
 
 @dataclass(frozen=True)
@@ -256,8 +251,7 @@ def family(*specs: SeriesSpec) -> FamilyVector:
 
 def vector_term(fam: FamilyVector, m: int, d: int | None = None) -> np.ndarray:
     """The d-dimensional term vector ``(a^0_m, ..., a^{d-1}_m)``."""
-    d = len(fam) if d is None else d
-    return np.array([term(spec, m) for spec in fam.specs[:d]], dtype=np.float64)
+    return vector_terms(fam, [m], d)[0]
 
 
 def vector_terms(fam: FamilyVector, ms: Sequence[int],

@@ -1,10 +1,14 @@
 """Command-line behavior: subcommands, exit codes, reproducible files."""
+import json
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sumchase.cli import main
+from sumchase.fileio import parse_certificate
 from conftest import (ALT_HARMONIC_ENTRY, RAD_PAIR_ENTRIES, write_family_file)
 
 TRIPLE_ENTRIES = RAD_PAIR_ENTRIES + [
@@ -249,6 +253,59 @@ def test_malformed_spec_file_is_an_input_error(tmp_path, text):
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_deeply_nested_spec_file_is_an_input_error(tmp_path):
+    # 400 composite levels nest the JSON past the interpreter's recursion
+    # limit; 300 still parse
+    text = json.dumps({"kind": "rademacher_harmonic", "level": 0})
+    for _ in range(400):
+        text = ('{"kind": "composite", "combo": [{"coefficient": 1.0, '
+                f'"ref": {text}}}]}}')
+    spec = tmp_path / "deep.json"
+    spec.write_text(f'{{"families": [[{text}]]}}')
+    cert = tmp_path / "chain.cert"
+    cert.write_text("certificate-version: 1\ntargets: 0.1\n"
+                    "condition 0: f=0 d=1 eps=3\n")
+    for command in (["analyze"], ["verify", "--cert", str(cert)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sumchase.cli", *command, "--spec",
+             str(spec)], capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert "nested too deeply" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+#: numpy's AVX512 dispatch targets; names a numpy build does not know are
+#: ignored, so on other machines both modes below are the same.
+DISPATCH_OFF = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+def test_certificates_verify_across_numpy_dispatch_modes(tmp_path, capsys):
+    """A p = 0.75 chain built with numpy's AVX512 dispatch switched off
+    verifies in this process, and one built here verifies with it off;
+    the bytes may differ in last digits, the chosen indices may not."""
+    entries = [{"kind": "rademacher_harmonic", "level": level,
+                "exponent": 0.75} for level in range(4)]
+    spec = write_family_file(tmp_path / "p075.json", [entries])
+    chain = ["extend-run", "--spec", spec, "--targets", "0.1,-0.2,0.3,0.0",
+             "--rounds", "3", "--cert"]
+    off_env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=DISPATCH_OFF)
+    built_off = str(tmp_path / "off.cert")
+    built_here = str(tmp_path / "here.cert")
+    proc = subprocess.run([sys.executable, "-m", "sumchase.cli", *chain,
+                           built_off], env=off_env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["verify", "--cert", built_off, "--spec", spec]) == 0
+    assert main([*chain, built_here]) == 0
+    proc = subprocess.run([sys.executable, "-m", "sumchase.cli", "verify",
+                           "--cert", built_here, "--spec", spec],
+                          env=off_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    finals = [np.sort(parse_certificate(path).conditions[-1].injection)
+              for path in (built_off, built_here)]
+    assert np.array_equal(*finals)
 
 
 def test_analyze_reports_structure(tmp_path, capsys):

@@ -16,7 +16,7 @@ from sumchase import rearrange
 from sumchase.errors import StructureError
 from sumchase.rearrange import (lane_modulus, order_block_lanes,
                                 select_block_indices)
-from sumchase.series import vector_terms
+from sumchase.series import term_array, vector_terms
 
 ALT = power_alternating(1.0)
 LN2 = 0.6931471805599453
@@ -341,8 +341,10 @@ def test_pair_chase_contract_over_random_targets(x0, x1):
 
 
 def _set_take(struct, residues, mass, lane_tol, used, scan_cap):
-    """The take-if-fits lane scan as a scalar loop over a used set."""
-    p = struct.exponent
+    """The take-if-fits lane scan as a scalar loop over a used set, with
+    term_array's magnitudes."""
+    plain = rademacher_harmonic(0, struct.exponent)
+    sizes = np.zeros(0)
     picks = []
     remaining = mass
     block = 0
@@ -355,7 +357,9 @@ def _set_take(struct, residues, mass, lane_tol, used, scan_cap):
             m = base + r
             if m in used:
                 continue
-            magnitude = (m + 1.0) ** -p
+            if m >= len(sizes):
+                sizes = np.abs(term_array(plain, np.arange(2 * m + 1)))
+            magnitude = float(sizes[m])
             if magnitude <= remaining:
                 picks.append(m)
                 used.add(m)
@@ -421,6 +425,24 @@ def test_lane_scan_crosses_many_windows():
                                     math.inf)
     assert max(expected) // struct.modulus > 4 * rearrange._SCAN_WINDOW
     assert got.tolist() == expected
+
+
+def test_scans_read_term_array_values():
+    # at m = 1922 of the alternating harmonic series libm ``pow`` rounds
+    # the term one ulp below term_array's value
+    spec = rademacher_harmonic(0)
+    value = float(term_array(spec, np.array([1922]))[0])
+    struct = rearrange._lane_structure(family(spec), 1)
+    residues = struct.lane_residues[struct.sign_vectors.index((1,))]
+    for mass, taken in ((math.nextafter(value, 0.0), []), (value, [1922])):
+        # 1922 is the one candidate left, taken exactly when it fits
+        used = rearrange.UsedIndices(range(1922))
+        assert rearrange._take_from_lane(struct, residues, mass, 1e-12, used,
+                                         1922).tolist() == taken
+        assert rearrange._select_scalar(spec, mass, used, 1e-12,
+                                        1922).tolist() == taken
+    stream = rearrange._sign_stream(spec, 1)
+    assert next(v for m, v in stream if m == 1922) == value
 
 
 def test_used_indices_grow_by_doubling_and_read_past_their_end():
