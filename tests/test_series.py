@@ -92,6 +92,49 @@ def test_index_must_be_an_int64(m):
         term(power_alternating(), m)
 
 
+def test_term_array_matches_scalar_term_exactly_for_integer_exponents():
+    specs = [rademacher_harmonic(2),
+             power_alternating(1.0),
+             abs_power(3.0, scale=2.0, sign_level=0),
+             composite([(1.0, rademacher_harmonic(0)),
+                        (-0.5, rademacher_harmonic(1))],
+                       perturbation=abs_power(3.0))]
+    ms = np.arange(40)
+    for spec in specs:
+        arr = term_array(spec, ms)
+        for m in range(40):
+            assert arr[m] == term(spec, m)
+
+
+def test_term_array_within_one_ulp_for_fractional_exponents():
+    specs = [power_alternating(0.5), abs_power(1.5, scale=2.0, sign_level=0)]
+    ms = np.arange(40)
+    for spec in specs:
+        arr = term_array(spec, ms)
+        for m in range(40):
+            scalar = term(spec, m)
+            assert abs(arr[m] - scalar) <= math.ulp(scalar)
+
+
+def test_term_array_within_one_ulp_of_scalar_term_at_large_index():
+    # m = 1922 is where libm ``pow`` and numpy's reciprocal round the
+    # alternating harmonic term differently
+    specs = [rademacher_harmonic(0),
+             rademacher_harmonic(2),
+             power_alternating(1.0),
+             abs_power(3.0, scale=2.0, sign_level=0),
+             composite([(1.0, rademacher_harmonic(0)),
+                        (-0.5, rademacher_harmonic(1))],
+                       perturbation=abs_power(3.0)),
+             power_alternating(0.5),
+             abs_power(1.5, scale=2.0, sign_level=0)]
+    ms = np.array([1922])
+    for spec in specs:
+        arr = term_array(spec, ms)
+        scalar = term(spec, 1922)
+        assert abs(arr[0] - scalar) <= math.ulp(scalar)
+
+
 def test_term_is_term_array_bit_for_bit():
     # term reads term_array, so the two agree everywhere, m = 1922 included,
     # where libm ``pow`` and numpy's reciprocal round 1/1923 differently
