@@ -40,11 +40,11 @@ import numpy as np
 from .confinement import ConstantSchedule, DEFAULT_SCHEDULE
 from .errors import (BudgetExhaustedError, InfeasibleEtaError, InputError,
                      PreconditionError, SearchError)
-from .rearrange import (UsedIndices, block_statistics, lane_modulus,
-                        order_block_lanes, select_block_indices,
-                        widest_lane_dim)
-from .series import (FamilyVector, index_problems, partial_sum_vector,
-                     tail_sup_bound, vector_terms)
+from .rearrange import (UsedIndices, _as_target, block_statistics,
+                        lane_modulus, missing_below, order_block_lanes,
+                        select_block_indices, widest_lane_dim)
+from .series import (FamilyVector, index_problems, index_vector,
+                     partial_sum_vector, tail_sup_bound, vector_terms)
 
 #: Margin subtracted from every strict certified comparison, absorbing
 #: float rounding in the measured quantity.
@@ -73,39 +73,14 @@ def certified_le(value: float, extra: Fraction, bound: Fraction) -> bool:
     return extra + Fraction(value) + _SLACK_FRACTION <= bound
 
 
-def _index_vector(injection) -> np.ndarray:
-    """The injection as a read-only one-dimensional int64 array.
-
-    A read-only int64 array is taken as it is; anything else is copied,
-    through Python ints when it is an array of another dtype, so that an
-    entry outside int64 raises instead of wrapping around.
-    """
-    if (isinstance(injection, np.ndarray) and injection.dtype == np.int64
-            and not injection.flags.writeable):
-        arr = injection
-    else:
-        if isinstance(injection, np.ndarray) and injection.dtype != np.int64:
-            injection = injection.tolist()
-        try:
-            arr = np.array(injection, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise InputError(f"injection entries must be int64 indices: "
-                             f"{exc}") from exc
-        arr.flags.writeable = False
-    if arr.ndim != 1:
-        raise InputError(f"injection must be one-dimensional, got shape "
-                         f"{arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Condition:
     """Injection prefix, active dimension count, exact tolerance.
 
-    ``injection`` is held as a read-only int64 array; negative and
-    repeated entries are kept for is_condition to report, but an entry
-    outside int64 is an input error here.  Two conditions are equal when
-    their injections, dimensions and tolerances are.
+    ``injection`` is held as a read-only int64 array (``index_vector``);
+    negative and repeated entries are kept for is_condition to report,
+    but an entry outside int64 is an input error here.  Two conditions
+    are equal when their injections, dimensions and tolerances are.
     """
 
     injection: np.ndarray
@@ -113,7 +88,7 @@ class Condition:
     eps: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "injection", _index_vector(self.injection))
+        object.__setattr__(self, "injection", index_vector(self.injection))
         if not isinstance(self.dim, int) or self.dim < 1:
             raise InputError(f"dimension must be a positive int, got {self.dim!r}")
         eps = Fraction(self.eps)
@@ -160,16 +135,6 @@ class ConditionReport:
         return None
 
 
-def _targets_tuple(targets) -> tuple[float, ...]:
-    out = tuple(float(x) for x in targets)
-    if not out:
-        raise InputError("at least one target is required")
-    for x in out:
-        if not math.isfinite(x):
-            raise InputError(f"targets must be finite, got {x!r}")
-    return out
-
-
 def is_condition(cond: Condition, fam: FamilyVector, targets,
                  cutoff: int | None = None,
                  schedule: ConstantSchedule | None = None) -> ConditionReport:
@@ -179,7 +144,7 @@ def is_condition(cond: Condition, fam: FamilyVector, targets,
     (default ``len(injection) + 10_000``) and by the tail envelope above.
     """
     schedule = schedule or DEFAULT_SCHEDULE
-    targets_t = _targets_tuple(targets)
+    targets_t = _as_target(targets)
     bullets: list[BulletCheck] = []
     inj = cond.injection
     used, problems = index_problems(inj)
@@ -195,21 +160,14 @@ def is_condition(cond: Condition, fam: FamilyVector, targets,
         return ConditionReport(False, tuple(bullets))
     d = cond.dim
     sums = partial_sum_vector(fam, used, d)
-    deviation = float(np.linalg.norm(sums - np.array(targets_t[:d])))
+    deviation = float(np.linalg.norm(sums - targets_t[:d]))
     bullets.append(BulletCheck("deviation", certified_lt(deviation, cond.eps),
                                deviation, float(cond.eps)))
     cutoff = len(inj) + TAIL_CUTOFF_SPAN if cutoff is None else int(cutoff)
     ceiling = cond.eps / Fraction(schedule.value_at(d))
-    # a mask rather than np.setdiff1d, whose hash-based unique is about
-    # 50 times slower on chain-sized injections
-    free = np.ones(max(cutoff, 0), dtype=bool)
-    free[used[used < cutoff]] = False
-    unused = np.flatnonzero(free)
-    if unused.size:
-        below_max = float(np.linalg.norm(vector_terms(fam, unused, d),
-                                         axis=1).max())
-    else:
-        below_max = 0.0
+    unused = missing_below(used, cutoff)
+    below_max = float(np.linalg.norm(vector_terms(fam, unused, d),
+                                     axis=1).max(initial=0.0))
     beyond = tail_sup_bound(fam, cutoff, d)
     tail_ok = (certified_lt(below_max, ceiling) if below_max > 0.0 else True) \
         and certified_lt(beyond, ceiling)
@@ -280,7 +238,7 @@ def _smallest_cover_cutoff(fam: FamilyVector, dim: int, bound: float,
 
 
 def _attempt_extension(cond: Condition, n: int, fam: FamilyVector,
-                       targets: tuple[float, ...], delta: Fraction,
+                       targets: np.ndarray, delta: Fraction,
                        schedule: ConstantSchedule, budget: int,
                        full_dim: int, modulus: int | None
                        ) -> tuple[ExtendDetail | None, int]:
@@ -289,11 +247,11 @@ def _attempt_extension(cond: Condition, n: int, fam: FamilyVector,
     cover_bound = float(delta / Fraction(schedule.value_at(new_dim))) / 4.0
     m_cov = _smallest_cover_cutoff(fam, new_dim, cover_bound, floor=n)
     used = UsedIndices(cond.injection)
-    cover = used.unused_below(m_cov)
+    cover = missing_below(cond.injection, m_cov)
     used.add(cover)
     base_full = partial_sum_vector(fam, cond.injection, full_dim)
     cover_full = partial_sum_vector(fam, cover, full_dim)
-    residual = np.array(targets[:full_dim]) - base_full - cover_full
+    residual = targets[:full_dim] - base_full - cover_full
     # Steering every coordinate now keeps the next round's residual at
     # tolerance scale; solving it later, when only far tail indices remain
     # unused, would take exponentially many terms.  With no scan cap the
@@ -334,7 +292,7 @@ def extend_detail(cond: Condition, n: int, fam: FamilyVector, targets,
     carries the input condition ``cond`` as ``best``.
     """
     schedule = schedule or DEFAULT_SCHEDULE
-    targets_t = _targets_tuple(targets)
+    targets_t = _as_target(targets)
     if n < 0:
         raise InputError("coverage bound must be nonnegative")
     if budget < 0:
@@ -414,7 +372,7 @@ def initial_condition(fam: FamilyVector, targets,
     """The empty-prefix starting state: a tolerance comfortably above both
     the first target and the first series' largest term."""
     schedule = schedule or DEFAULT_SCHEDULE
-    targets_t = _targets_tuple(targets)
+    targets_t = _as_target(targets)
     c1 = schedule.value_at(1)
     base = max(abs(targets_t[0]), c1 * tail_sup_bound(fam, 0, 1))
     eps0 = Fraction(math.ceil(base * 1024), 1024) + 1
@@ -438,7 +396,7 @@ def run(fam: FamilyVector, targets, rounds: int, seed: int = 0,
     """
     del seed
     schedule = schedule or DEFAULT_SCHEDULE
-    targets_t = _targets_tuple(targets)
+    targets_t = _as_target(targets)
     if rounds < 0:
         raise InputError("rounds must be nonnegative")
     if budget < 0:

@@ -141,12 +141,8 @@ def _backtracking_order(vs: np.ndarray, threshold: float, order: list[int],
         ranked = np.lexsort((cand, norms))
         return [int(c) for c in cand[ranked]]
 
-    def mask_of(used_now: np.ndarray) -> int:
-        mask = 0
-        for i in np.flatnonzero(used_now):
-            mask |= 1 << int(i)
-        return mask
-
+    # the used positions as the bits of one int, kept in step with used
+    mask = sum(1 << int(i) for i in np.flatnonzero(used))
     failed: set[int] = set()
     stack: list[tuple[np.ndarray, list[int], int]] = [
         (prefix, candidates(prefix, used), 0)]
@@ -163,10 +159,10 @@ def _backtracking_order(vs: np.ndarray, threshold: float, order: list[int],
             if nodes > node_cap:
                 raise SearchError(
                     f"ordering search exceeded {node_cap} expansions")
-            used[pick] = True
-            if mask_of(used) in failed:
-                used[pick] = False
+            if (mask | 1 << pick) in failed:
                 continue
+            used[pick] = True
+            mask |= 1 << pick
             stack[-1] = (pref, cands, next_at)
             order.append(pick)
             new_pref = pref + vs[pick]
@@ -176,11 +172,12 @@ def _backtracking_order(vs: np.ndarray, threshold: float, order: list[int],
             advanced = True
             break
         if not advanced:
-            failed.add(mask_of(used))
+            failed.add(mask)
             stack.pop()
             if order:
                 undone = order.pop()
                 used[undone] = False
+                mask &= ~(1 << undone)
     raise SearchError("no ordering satisfies the requested prefix bound")
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import (BudgetExhaustedError, InputError, PreconditionError,
                      StructureError)
-from .series import (FamilyVector, SeriesSpec, index_problems,
+from .series import (FamilyVector, SeriesSpec, index_problems, index_vector,
                      is_conditionally_convergent, partial_sum_vector,
                      magnitude_array, reduce_spec, term_array, vector_terms)
 
@@ -60,32 +60,46 @@ def _as_target(target) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrefixPlan:
     """A finite injection prefix plus recomputable summary statistics.
 
-    ``deviation`` is the distance from the target the plan was built
-    against, measured in the dimensions that were active at build time;
+    ``injection`` is a read-only int64 array, held as a condition holds
+    it (``index_vector``).  ``deviation`` is the distance from the target
+    the plan was built against, in the dimensions active at build time;
     ``max_excursion`` is the largest norm any running partial-sum vector
-    reached.  Both are derived values: verify_prefix recomputes them from
-    the injection alone.  ``used_set``, the injection's range, is built
-    from ``injection`` on every access.
+    reached.  verify_prefix recomputes both from the injection alone, and
+    ``used_set``, the injection's range, is built on every access.
     """
 
-    injection: tuple[int, ...]
+    injection: np.ndarray
     deviation: float
     max_excursion: float
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "injection", index_vector(self.injection))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PrefixPlan):
+            return NotImplemented
+        return (self.deviation == other.deviation
+                and self.max_excursion == other.max_excursion
+                and np.array_equal(self.injection, other.injection))
+
+    def __hash__(self) -> int:
+        return hash((self.injection.tobytes(), self.deviation,
+                     self.max_excursion))
+
     @property
     def used_set(self) -> frozenset[int]:
-        return frozenset(self.injection)
+        return frozenset(self.injection.tolist())
 
     def __len__(self) -> int:
         return len(self.injection)
 
     def extends(self, other: "PrefixPlan") -> bool:
-        k = len(other.injection)
-        return len(self.injection) >= k and self.injection[:k] == other.injection
+        return np.array_equal(self.injection[:len(other.injection)],
+                              other.injection)
 
 
 #: Rows per ``np.linalg.norm`` call in :func:`_largest_running_norm`.
@@ -118,7 +132,7 @@ def plan_from_injection(fam: FamilyVector, injection: Sequence[int],
     """Canonical plan builder: all statistics recomputed from the series."""
     goal = _as_target(target)
     dim = len(goal) if dim is None else dim
-    inj = tuple(map(int, injection))
+    inj = index_vector(injection)
     sums, max_excursion = block_statistics(fam, inj, dim)
     deviation = float(np.linalg.norm(sums - goal[:dim]))
     return PrefixPlan(inj, deviation, max_excursion)
@@ -367,12 +381,14 @@ class UsedIndices:
         out[inside] = self._bits[ms[inside]]
         return out
 
-    def unused_below(self, n: int) -> np.ndarray:
-        """The indices below ``n`` that are not in the set, ascending."""
-        free = np.ones(n, dtype=bool)
-        known = min(len(free), len(self._bits))
-        free[:known] = ~self._bits[:known]
-        return np.flatnonzero(free)
+
+def missing_below(indices: np.ndarray, n: int) -> np.ndarray:
+    """The indices below ``n`` that the int64 array ``indices`` does not
+    hold, ascending.  The mask has ``n`` entries however far the indices
+    reach, and is faster than ``np.setdiff1d``'s hash-based unique."""
+    free = np.ones(max(n, 0), dtype=bool)
+    free[indices[(indices >= 0) & (indices < n)]] = False
+    return np.flatnonzero(free)
 
 
 #: The most lane members a scan reads at once.  Windows start at 256
@@ -605,11 +621,11 @@ def _select_scalar(spec: SeriesSpec, residual: float, used: UsedIndices,
 
 
 def order_block(fam: FamilyVector, indices: Sequence[int],
-                dim: int) -> list[int]:
+                dim: int) -> np.ndarray:
     """Order a block for appending: order_block_lanes with its default
     lanes and no limit, so running sums stay near the segment from the
     old sum to the new one."""
-    return order_block_lanes(fam, indices, dim, math.inf).tolist()
+    return order_block_lanes(fam, indices, dim, math.inf)
 
 
 def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
@@ -631,7 +647,7 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
     if len(goal) < dim:
         raise InputError("target shorter than the active dimension")
     _check_eps_budget(eps, budget)
-    injection = list(base.injection) if base is not None else []
+    injection = index_vector(() if base is None else base.injection)
     taken, problems = index_problems(injection)
     if "duplicate" in problems:
         raise PreconditionError("base plan has duplicate indices")
@@ -672,7 +688,8 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
                     f"block selection exceeded the budget of {budget} terms",
                     best=plan_from_injection(fam, injection[:best_len], goal,
                                              dim))
-            injection.extend(order_block(fam, picks, dim))
+            injection = np.concatenate((injection,
+                                        order_block(fam, picks, dim)))
         stalled = not len(picks) or dev > prev_dev * 0.9
         if stalled and lanes_ok:
             boosts = complementary_boosts(fam, dim, max(dev, eps) * 0.5, rng)
@@ -698,11 +715,11 @@ def cover_indices(fam: FamilyVector, plan: PrefixPlan, n: int, target,
     dim = len(goal) if dim is None else dim
     if n < 0:
         raise InputError("cover bound must be nonnegative")
-    used = plan.used_set
-    missing = [m for m in range(n) if m not in used]
-    if not missing:
+    missing = missing_below(plan.injection, n)
+    if not missing.size:
         return plan
-    injection = list(plan.injection) + order_block(fam, missing, dim)
+    injection = np.concatenate((plan.injection,
+                                order_block(fam, missing, dim)))
     return plan_from_injection(fam, injection, goal, dim)
 
 
@@ -722,17 +739,16 @@ def verify_prefix(fam: FamilyVector, plan: PrefixPlan, target,
     """Recompute a plan's statistics from the series and flag violations.
 
     Never raises for a malformed plan; every problem becomes a flag.
-    Indices that are negative, repeated or outside int64 are flagged
-    ``negative-index``, ``duplicate-index`` or ``out-of-range-index``,
-    and the plan's own statistics are then reported unchecked.
+    Indices that are negative or repeated are flagged ``negative-index``
+    or ``duplicate-index``, and the plan's own statistics are then
+    reported unchecked.
     """
     goal = _as_target(target)
     dim = len(goal) if dim is None else dim
     inj = plan.injection
     _, problems = index_problems(inj)
     flags = [f"{problem}-index" for problem in problems]
-    deviation = plan.deviation
-    max_excursion = plan.max_excursion
+    deviation, max_excursion = plan.deviation, plan.max_excursion
     if not flags:
         fresh = plan_from_injection(fam, inj, goal, dim)
         deviation, max_excursion = fresh.deviation, fresh.max_excursion

@@ -291,6 +291,28 @@ def index_problems(indices: Sequence[int]
     return ms, tuple(problems)
 
 
+def index_vector(injection: Sequence[int]) -> np.ndarray:
+    """The injection as the read-only 1-D int64 array that conditions and
+    plans hold.  A read-only int64 array is taken as it is; anything else
+    is copied, through Python ints when it is an array of another dtype,
+    so that an entry outside int64 raises InputError instead of wrapping.
+    Negative and repeated entries are kept for the checks to report."""
+    if not (isinstance(injection, np.ndarray) and injection.dtype == np.int64
+            and not injection.flags.writeable):
+        if isinstance(injection, np.ndarray) and injection.dtype != np.int64:
+            injection = injection.tolist()
+        try:
+            injection = np.array(injection, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise InputError(f"injection entries must be int64 indices: "
+                             f"{exc}") from exc
+        injection.flags.writeable = False
+    if injection.ndim != 1:
+        raise InputError(f"injection must be one-dimensional, got shape "
+                         f"{injection.shape}")
+    return injection
+
+
 def _check_indices(indices: Sequence[int]) -> np.ndarray:
     ms, problems = index_problems(indices)
     if problems:
@@ -334,10 +356,19 @@ def partial_sum_vector(fam: FamilyVector, indices: Sequence[int],
 # ---------------------------------------------------------------------------
 
 def _tail_spec(spec: SeriesSpec, m: int) -> float:
-    if spec.kind in (KIND_RADEMACHER, KIND_ALTERNATING):
-        return (m + 1.0) ** -spec.exponent
-    if spec.kind == KIND_ABS_POWER:
-        return abs(spec.scale) * (m + 1.0) ** -spec.exponent
+    """Upper bound on the size of the computed term at every index >= m.
+
+    It repeats :func:`term_array`'s operations at ``m`` on magnitudes, in
+    the same order, so a composite needs no rounding allowance: rounding
+    is monotone and symmetric, so ``|fl(x + y)| <= fl(|x| + |y|)`` and
+    ``|fl(c * t)| <= fl(|c| * b)`` when ``|t| <= b``.  Later indices are
+    covered because ``magnitude_array`` does not increase with the index
+    (the tests check this on the indices they use).
+    """
+    if spec.kind in (KIND_RADEMACHER, KIND_ALTERNATING, KIND_ABS_POWER):
+        # float(m) + 1.0 rounds as an int64 entry would; m may exceed int64
+        size = float(magnitude_array(np.array([float(m)]), spec.exponent)[0])
+        return abs(spec.scale) * size if spec.kind == KIND_ABS_POWER else size
     bound = 0.0
     for coeff, ref in spec.combo:
         bound += abs(coeff) * _tail_spec(ref, m)

@@ -31,9 +31,9 @@ from .series import (FamilyVector, SeriesSpec, classical_sum, composite,
 #: Default index count for the numerical growth cross-check.
 DEFAULT_TRUNCATION = 1 << 16
 
-#: Growth threshold: absolute partial sums at or above threshold * ln(N)
-#: count against membership (the value is unbounded evidence).
-DEFAULT_GROWTH_THRESHOLD = 0.5
+#: Absolute partial sums at or above ``GROWTH_THRESHOLD * ln(N)`` count
+#: against membership (the value is unbounded evidence).
+GROWTH_THRESHOLD = 0.5
 
 _RATIO_BOUNDED = 1.05
 _RATIO_DIVERGENT = 1.5
@@ -181,7 +181,7 @@ class GrowthStats:
     truncation: int
     scale: float
 
-    def verdict(self, threshold: float = DEFAULT_GROWTH_THRESHOLD) -> str:
+    def verdict(self) -> str:
         """Classify the growth evidence; authority stays with declared
         structure, so anything short of a clear signal is inconclusive.
 
@@ -193,8 +193,8 @@ class GrowthStats:
             return "member"
         if self.ratio >= _RATIO_DIVERGENT:
             return "divergent"
-        if (self.ratio <= _RATIO_BOUNDED
-                and self.abs_sum < threshold * math.log(self.truncation)):
+        if (self.ratio <= _RATIO_BOUNDED and self.abs_sum
+                < GROWTH_THRESHOLD * math.log(self.truncation)):
             return "member"
         return "inconclusive"
 
@@ -240,8 +240,7 @@ def growth_statistics(fam: FamilyVector, coeffs: Sequence[float],
 # ---------------------------------------------------------------------------
 
 def k_space_basis(fam: FamilyVector, dim: int | None = None,
-                  truncation: int = DEFAULT_TRUNCATION,
-                  threshold: float = DEFAULT_GROWTH_THRESHOLD
+                  truncation: int = DEFAULT_TRUNCATION
                   ) -> list[CoefficientVector]:
     """Exact basis of the absolutely-convergent-combination space.
 
@@ -265,7 +264,7 @@ def k_space_basis(fam: FamilyVector, dim: int | None = None,
                  [float(x) for x in _normalize_exact(vec)]) for vec in dense]
     for cv in basis:
         stats = growth_statistics(fam, cv.as_array(dim), truncation)
-        if stats.verdict(threshold) == "divergent":
+        if stats.verdict() == "divergent":
             raise DisagreementError(
                 f"declared kernel vector {cv.values} tests divergent "
                 f"(abs sum {stats.abs_sum:.6g} at N={truncation})")
@@ -275,7 +274,7 @@ def k_space_basis(fam: FamilyVector, dim: int | None = None,
         declared_member = not reduce_spec(fam[i]).patterns
         stats = growth_statistics(
             fam, [1.0 if j == i else 0.0 for j in range(dim)], truncation)
-        verdict = stats.verdict(threshold)
+        verdict = stats.verdict()
         if declared_member and verdict == "divergent":
             raise DisagreementError(
                 f"series {i} is declared absolutely convergent but its "
@@ -393,11 +392,10 @@ class AffineSumRange:
 
 def sum_range(fam: FamilyVector, dim: int | None = None,
               precision: float = 1e-6,
-              truncation: int = DEFAULT_TRUNCATION,
-              threshold: float = DEFAULT_GROWTH_THRESHOLD) -> AffineSumRange:
+              truncation: int = DEFAULT_TRUNCATION) -> AffineSumRange:
     """Build the attainable-sum description for the leading dimensions."""
     dim = len(fam) if dim is None else dim
     offset = tuple(classical_sum(spec, precision) for spec in fam.specs[:dim])
-    basis = r_space(k_space_basis(fam, dim, truncation, threshold), dim)
+    basis = r_space(k_space_basis(fam, dim, truncation), dim)
     return AffineSumRange(offset, tuple(tuple(float(x) for x in row)
                                         for row in basis))

@@ -10,6 +10,7 @@ from sumchase import (ConstantSchedule, InputError, SearchError,
                       SizeLimitError, brute_force_confine, confine_with_anchor,
                       confine_zero_sum, order_with_threshold, prefix_norms,
                       published_constant)
+from sumchase.confinement import _backtracking_order, _greedy_descent
 
 
 def zero_sum_instance(seed: int, n: int, d: int) -> np.ndarray:
@@ -125,6 +126,36 @@ def test_order_with_threshold_reports_impossible_bounds():
     vs = np.array([[1.0], [1.0], [-2.0]])
     with pytest.raises(SearchError):
         order_with_threshold(vs, 0.5)
+
+
+def _search(values, node_cap):
+    vs = np.array(values)[:, None]
+    used = np.zeros(len(vs), dtype=bool)
+    used[0] = True
+    return _backtracking_order(vs, 1.0, [0], vs[0].copy(), used, node_cap)
+
+
+def test_ordering_search_backtracks_out_of_a_greedy_dead_end():
+    """Greedy descent dead-ends on these 1-D vectors; the search backs out
+    of it in 8 expansions, and proves a second list unorderable in 652,
+    which the memo of failed used-subsets keeps that small (9 vectors
+    have 8! orders)."""
+    values = [-0.5, -0.5, 0.8, -0.5, -0.8, -0.4, 1.9]
+    vs = np.array(values)[:, None]
+    used = np.zeros(len(vs), dtype=bool)
+    used[0] = True
+    with pytest.raises(SearchError, match="dead end"):
+        _greedy_descent(vs, 1.0, [0], vs[0].copy(), used)
+    expected = [0, 2, 5, 4, 6, 1, 3]
+    assert order_with_threshold(vs, 1.0) == expected
+    assert _search(values, 8) == expected
+    with pytest.raises(SearchError, match="expansions"):
+        _search(values, 7)
+    stuck = [-0.4, 0.6, 0.1, 0.5, -0.1, 0.1, 0.6, 0.8, -0.9]
+    with pytest.raises(SearchError, match="no ordering"):
+        _search(stuck, 652)
+    with pytest.raises(SearchError, match="expansions"):
+        _search(stuck, 651)
 
 
 @settings(max_examples=25, deadline=None)

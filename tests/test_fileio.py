@@ -10,11 +10,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sumchase import (InputError, abs_power, composite, family,
-                      parse_certificate, parse_spec_file, power_alternating,
-                      rademacher_harmonic, run, trace_rows, write_certificate,
-                      write_trace)
+from sumchase import (InputError, abs_power, chase_target, composite,
+                      cover_indices, family, parse_certificate,
+                      parse_spec_file, power_alternating, rademacher_harmonic,
+                      run, trace_rows, write_certificate, write_trace)
 from sumchase import fileio
+from sumchase.cli import main
 from sumchase.conditions import CertificateChain, Condition
 from sumchase.fileio import emit_trace, parse_family
 from sumchase.series import vector_terms
@@ -427,6 +428,37 @@ def test_benchmark_chain_certificate_and_trace_bytes_are_pinned(bench_chain):
     digest = _sha256(trace)
     trace.unlink()
     assert digest == BENCH_TRACE_SHA256
+
+
+#: ``sumchase rearrange --trace`` on the alternating harmonic series:
+#: target 1.3, eps 1e-5.
+RIEMANN_STDOUT = ("length=757 deviation=8.241283795396015e-06 "
+                  "max_excursion=1.378210678210678\n")
+RIEMANN_TRACE_SHA256 = (
+    "a9c963540b97de5463992b51e627f6c776bc241e999d3afc586ab7a93495760a")
+#: The benchmark's cover recipe on levels 0 and 1, targets (0.2, 0.3),
+#: eps 1e-3, seed 4: chase (9 indices, up to 12,210), cover every index
+#: below 512, chase again (2,955 indices).
+RECHASE_TRACE_SHA256 = (
+    "7381c0ab9efc8980ffc8df2ade9963efab662cbf4f9cf66e54800ea1b1e5fb91")
+
+
+def test_rearrange_plan_trace_bytes_are_pinned(tmp_path, capsys):
+    spec = write_family_file(tmp_path / "alt.json",
+                             [[{"kind": "power_alternating"}]])
+    trace = tmp_path / "riemann.csv"
+    assert main(["rearrange", "--spec", spec, "--targets", "1.3",
+                 "--eps", "1e-5", "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == RIEMANN_STDOUT
+    assert _sha256(trace) == RIEMANN_TRACE_SHA256
+    pair = family(rademacher_harmonic(0), rademacher_harmonic(1))
+    targets = (0.2, 0.3)
+    plan = chase_target(pair, None, targets, 1e-3, seed=4)
+    plan = cover_indices(pair, plan, 512, targets)
+    plan = chase_target(pair, plan, targets, 1e-3, seed=4)
+    trace = tmp_path / "rechase.csv"
+    write_trace(str(trace), trace_rows(pair, plan.injection, 2))
+    assert _sha256(trace) == RECHASE_TRACE_SHA256
 
 
 def test_certificate_parse_holds_few_bytes_per_index(bench_chain):

@@ -34,7 +34,7 @@ def test_natural_prefix_suffices_for_the_classical_sum():
 
 def test_zero_target_may_return_the_empty_plan():
     plan = riemann_rearrange(ALT, 0.0, 0.5)
-    if not plan.injection:
+    if not len(plan.injection):
         assert plan.deviation == 0.0
 
 
@@ -65,7 +65,7 @@ def test_chase_budget_carries_its_closest_prefix():
         chase_target(fam, None, 1.5, 1e-3, seed=1, budget=11)
     best = info.value.best
     # the first two blocks (5 and 6 indices) fit, the third does not
-    assert best.injection == full.injection[:11]
+    assert np.array_equal(best.injection, full.injection[:11])
     assert best == plan_from_injection(fam, best.injection, 1.5)
     assert best.deviation < 1.5
 
@@ -107,21 +107,22 @@ def test_chase_extends_its_base_plan():
     base = chase_target(fam, None, (0.1, 0.1), 0.05, seed=1)
     longer = chase_target(fam, base, (-0.4, 0.25), 0.02, seed=1)
     assert longer.extends(base)
-    assert longer.injection[:len(base.injection)] == base.injection
+    assert np.array_equal(longer.injection[:len(base.injection)],
+                          base.injection)
 
 
 def test_chase_returns_base_when_already_close():
     fam = family(rademacher_harmonic(0), rademacher_harmonic(1))
     base = chase_target(fam, None, (0.2, -0.3), 0.01, seed=5)
     again = chase_target(fam, base, (0.2, -0.3), 0.5, seed=5)
-    assert again.injection == base.injection
+    assert np.array_equal(again.injection, base.injection)
 
 
 def test_chase_is_deterministic_for_a_fixed_seed():
     fam = family(rademacher_harmonic(0), rademacher_harmonic(1))
     one = chase_target(fam, None, (0.15, 0.05), 0.005, seed=9)
     two = chase_target(fam, None, (0.15, 0.05), 0.005, seed=9)
-    assert one.injection == two.injection
+    assert np.array_equal(one.injection, two.injection)
     assert one.deviation == two.deviation
 
 
@@ -139,7 +140,7 @@ def test_cover_adds_exactly_the_missing_indices():
     assert set(range(64)) <= covered.used_set
     assert len(covered.injection) == len(set(covered.injection))
     already = cover_indices(fam, covered, 64, (0.2, -0.3))
-    assert already.injection == covered.injection
+    assert np.array_equal(already.injection, covered.injection)
 
 
 def test_cover_on_the_empty_plan_lists_an_initial_segment():
@@ -155,7 +156,7 @@ def test_cover_without_sign_lanes_appends_the_missing_indices_in_order():
     assert lane_modulus(fam, 2) is None
     base = plan_from_injection(fam, (5, 2, 9), (0.1, 0.2))
     covered = cover_indices(fam, base, 12, (0.1, 0.2))
-    assert covered.injection == (5, 2, 9, 0, 1, 3, 4, 6, 7, 8, 10, 11)
+    assert tuple(covered.injection) == (5, 2, 9, 0, 1, 3, 4, 6, 7, 8, 10, 11)
     block = [7, 3, 11, 0, 8]
     assert order_block_lanes(fam, block, 2, math.inf).tolist() == [0, 3, 7, 8, 11]
 
@@ -184,8 +185,8 @@ def test_block_order_never_steers_the_chase(monkeypatch):
     the same indices whatever order the blocks are appended in."""
     reversed_plans = _chase_outcomes(monkeypatch, reverse=True)
     plans = _chase_outcomes(monkeypatch, reverse=False)
-    assert ([p.injection for p in reversed_plans]
-            != [p.injection for p in plans])
+    assert ([p.injection.tolist() for p in reversed_plans]
+            != [p.injection.tolist() for p in plans])
     assert ([(sorted(p.injection), p.deviation) for p in reversed_plans]
             == [(sorted(p.injection), p.deviation) for p in plans])
 
@@ -205,12 +206,36 @@ def test_verify_prefix_flags_duplicates_instead_of_raising():
     assert "duplicate-index" in report.flags
 
 
-def test_verify_prefix_flags_indices_outside_int64():
-    fam = family(rademacher_harmonic(0))
-    broken = PrefixPlan((0, 2 ** 63), 0.0, 0.0)
-    report = verify_prefix(fam, broken, 0.0)
-    assert report.flags == ("out-of-range-index",)
-    assert (report.deviation, report.max_excursion) == (0.0, 0.0)
+def test_prefix_plan_rejects_indices_outside_int64():
+    for injection in ((0, 2 ** 63), (-2 ** 63 - 1,),
+                      np.array([2 ** 64 - 1], dtype=np.uint64)):
+        with pytest.raises(InputError, match="int64"):
+            PrefixPlan(injection, 0.0, 0.0)
+    edge = PrefixPlan((2 ** 63 - 1, -2 ** 63), 0.0, 0.0)
+    assert tuple(edge.injection) == (2 ** 63 - 1, -2 ** 63)
+    report = verify_prefix(family(rademacher_harmonic(0)), edge, 0.0)
+    assert report.flags == ("negative-index",)
+
+
+def test_prefix_plan_injection_is_a_read_only_int64_array():
+    fam = family(rademacher_harmonic(0), rademacher_harmonic(1))
+    plan = plan_from_injection(fam, [3, 1], (0.1, 0.2))
+    assert plan.injection.dtype == np.int64
+    with pytest.raises(ValueError):
+        plan.injection[0] = 5
+    source = np.array([3, 1], dtype=np.int64)
+    copied = plan_from_injection(fam, source, (0.1, 0.2))
+    source[0] = 7
+    assert tuple(copied.injection) == (3, 1)
+    assert copied == plan and hash(copied) == hash(plan)
+    assert copied.used_set == frozenset({1, 3})
+    assert all(type(m) is int for m in copied.used_set)
+    longer = plan_from_injection(fam, [3, 1, 0], (0.1, 0.2))
+    assert longer.extends(plan) and not plan.extends(longer)
+    assert plan != longer
+    assert plan != PrefixPlan(plan.injection, plan.deviation, 0.5)
+    assert len({plan, copied, plan_from_injection(fam, [1, 3],
+                                                  (0.1, 0.2))}) == 2
 
 
 @pytest.mark.parametrize("p, mass", [(1.0, 0.1), (0.99, 20.0)],
@@ -449,14 +474,19 @@ def test_used_indices_grow_by_doubling_and_read_past_their_end():
     used = rearrange.UsedIndices([3, 5])
     assert used.contains(np.array([2, 3, 5, 6, 10 ** 9])).tolist() == [
         False, True, True, False, False]
-    assert used.unused_below(8).tolist() == [0, 1, 2, 4, 6, 7]
     used.add(np.array([7]))
     assert len(used._bits) == 12
     used.add([100])
     assert len(used._bits) == 101
-    assert used.unused_below(0).size == 0
     with pytest.raises(InputError):
         used.add([-1])
+
+
+def test_missing_below_reads_only_the_entries_below_its_bound():
+    held = np.array([3, 5, 10 ** 12, -1], dtype=np.int64)
+    assert rearrange.missing_below(held, 8).tolist() == [0, 1, 2, 4, 6, 7]
+    assert rearrange.missing_below(held, 0).size == 0
+    assert rearrange.missing_below(held[:0], 3).tolist() == [0, 1, 2]
 
 
 def test_lane_masses_use_the_lane_period_on_gapped_levels():

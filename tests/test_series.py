@@ -11,7 +11,8 @@ from sumchase import (BudgetExhaustedError, InputError, abs_power,
                       is_conditionally_convergent, partial_sum,
                       partial_sum_vector, power_alternating,
                       rademacher_harmonic, tail_sup_bound, term)
-from sumchase.series import reduce_spec, term_array, vector_term, vector_terms
+from sumchase.series import (magnitude_array, reduce_spec, term_array,
+                             vector_term, vector_terms)
 
 LN2 = 0.6931471805599453
 ZETA2 = 1.6449340668482264
@@ -274,9 +275,57 @@ def test_partial_sum_permutation_invariance(indices, perm):
     assert partial_sum(spec, rearranged) == partial_sum(spec, ordered)
 
 
+def test_tail_bound_covers_the_term_where_libm_and_numpy_differ():
+    """libm's ``1923.0 ** -1.0`` is one rounding step below numpy's, which
+    every term comes from."""
+    spec = power_alternating(1.0)
+    assert tail_sup_bound(spec, 1922) == abs(term(spec, 1922))
+    assert tail_sup_bound(family(spec), 1922) == abs(term(spec, 1922))
+
+
+_TAIL_SPECS = [
+    power_alternating(1.0), power_alternating(0.75),
+    rademacher_harmonic(2, 0.5), abs_power(2.0, 3.0, sign_level=1),
+    abs_power(1.5, 0.1),
+    composite([(8.0, rademacher_harmonic(0))]),
+    composite([(-1.0, rademacher_harmonic(0)),
+               (-1.0, rademacher_harmonic(1))], abs_power(2.0)),
+    composite([(0.3, rademacher_harmonic(0, 0.75)),
+               (1 / 3, power_alternating(0.75)),
+               (0.7, composite([(1.1, rademacher_harmonic(3, 0.75)),
+                                (-2.9, abs_power(1.7))]))],
+              abs_power(3.0, 0.2)),
+]
+
+
+@pytest.mark.parametrize("spec", _TAIL_SPECS, ids=[
+    "alt-1", "alt-0.75", "rad2-0.5", "abs-signed", "abs-scaled",
+    "composite-8", "composite-cancelling", "composite-nested"])
+def test_tail_bound_covers_every_later_term(spec):
+    """Over the first 20,000 indices the bound at m is at least every term
+    from m on, and equals the term at m when no part can cancel."""
+    ms = np.arange(20_000, dtype=np.int64)
+    bounds = np.array([tail_sup_bound(spec, m) for m in range(len(ms))])
+    sizes = np.abs(term_array(spec, ms))
+    later_max = np.maximum.accumulate(sizes[::-1])[::-1]
+    assert (later_max <= bounds).all()
+    assert (np.diff(bounds) <= 0.0).all()
+    if spec.kind != "composite" or len(spec.combo) == 1:
+        assert np.array_equal(bounds, sizes)
+
+
+@pytest.mark.parametrize("exponent", [1.0, 0.75, 0.6, 0.5, 1.5, 2.0])
+def test_magnitudes_do_not_increase_with_the_index(exponent):
+    """The tail bound rests on this: every bound reads the magnitude at
+    its start index."""
+    mags = magnitude_array(np.arange(1 << 20, dtype=np.int64), exponent)
+    assert (np.diff(mags) <= 0.0).all()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6),
        st.integers(min_value=0, max_value=10 ** 4))
+@example(9214, 0)  # the draw that found the libm bound one step low
 def test_tail_bound_is_sound_for_every_later_index(start, offset):
     spec = power_alternating(1.0)
     bound = tail_sup_bound(spec, start)
