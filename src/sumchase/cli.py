@@ -31,9 +31,9 @@ from .errors import (BudgetExhaustedError, DisagreementError,
                      InfeasibleEtaError, InputError, SearchError)
 from .fileio import parse_spec_file, trace_rows, write_certificate, write_trace
 from .rearrange import chase_target, riemann_rearrange
-from .series import is_conditionally_convergent
+from .series import classical_sum, is_conditionally_convergent
 from .subspace import (dependency_decompose, growth_statistics, k_space_basis,
-                       r_space, sum_range)
+                       r_space)
 
 SCHEDULE_ENV = "RL_CONSTANT_SCHEDULE"
 
@@ -183,10 +183,9 @@ def _cmd_analyze(args, schedule) -> int:
         lines.append(f"dependent {j}: a{j} = {struct.abs_sums[j]!r} - ({rel})"
                      if rel else
                      f"dependent {j}: a{j} sums to {struct.abs_sums[j]!r}")
-    rng = sum_range(fam, dim, precision=args.precision,
-                    truncation=args.truncation)
     lines.append("classical sums: "
-                 + ",".join(repr(x) for x in rng.offset))
+                 + ",".join(repr(classical_sum(spec, args.precision))
+                            for spec in fam.specs))
     for i in range(dim):
         coeffs = [1.0 if j == i else 0.0 for j in range(dim)]
         stats = growth_statistics(fam, coeffs, truncation=args.truncation)

@@ -15,15 +15,17 @@ ceiling, pick a rational ``delta`` below ``1/n``, take every uncovered
 index below a cutoff chosen from the tail envelope, and add indices drawn
 lane by lane whose sum lands within ``delta / 4`` of the targets
 (select_block_indices states the bound).  The block is ordered by
-draining its residue lanes at equal rates (order_block_lanes), checked to
-keep its running sums in the old dimensions below ``0.98 * 2 * eps``.
+draining its residue lanes at equal rates (order_block_lanes), and the
+link's ``block-prefixes`` bullet, measured first, must keep its running
+sums in the old dimensions below ``0.98 * 2 * eps`` before the new
+condition itself is checked.
 The selection steers every target coordinate from the first round, not
 just the certified ones: once the small indices are spent, moving a
 coordinate by a fixed amount with harmonic tail terms costs
 exponentially many indices, so deferring a coordinate until its round
 would blow the budget.  Every claim is rechecked with measured
-quantities before the new condition is accepted; if the ordering or any
-check fails, ``delta`` is halved and the attempt repeats.
+quantities before the new condition is accepted; if any check fails,
+``delta`` is halved and the attempt repeats.
 
 All tolerances are exact fractions.  Floating-point norms enter
 comparisons only through a fixed slack margin, so a certified inequality
@@ -264,17 +266,17 @@ def _attempt_extension(cond: Condition, n: int, fam: FamilyVector,
         raise BudgetExhaustedError(
             f"extension block of {appended} indices exceeds the remaining "
             f"budget of {budget}", best=cond)
-    # the link's block-prefixes bullet needs every running sum below
-    # 2 * eps; the 2% margin keeps that certified comparison clear
-    limit = float(2 * cond.eps) * 0.98
-    ordered = order_block_lanes(fam, block, d, limit, modulus=modulus)
-    if ordered is None:
-        return None, appended
-    injection = np.concatenate((cond.injection, ordered))
+    injection = np.concatenate(
+        (cond.injection, order_block_lanes(fam, block, d, modulus=modulus)))
     injection.flags.writeable = False  # so the condition takes it uncopied
     candidate = Condition(injection, new_dim, delta)
-    check = is_condition(candidate, fam, targets, schedule=schedule)
     link = leq(candidate, cond, fam)
+    # the link's block-prefixes bullet needs every running sum below
+    # 2 * eps; a 2% margin keeps that certified comparison clear, and a
+    # block without it is not worth checking further
+    if link.bullet("block-prefixes").value > float(2 * cond.eps) * 0.98:
+        return None, appended
+    check = is_condition(candidate, fam, targets, schedule=schedule)
     if check.ok and link.ok:
         return ExtendDetail(candidate, link, check, appended), appended
     return None, appended

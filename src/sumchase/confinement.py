@@ -5,7 +5,8 @@ ordering (keeping the first vector first) whose running prefix sums all
 stay within a dimension-dependent constant ``C_d``.  This module provides
 
 * a configurable schedule of constants (default ``C_d = d + 1``),
-* a greedy-with-backtracking search realizing the bound,
+* one depth-first search realizing the bound, whose first descent is
+  the greedy one,
 * an anchored variant for families whose sum is a nonzero vector ``b``
   (bound ``rho * C_d + ||b||``), and
 * an exhaustive oracle for small instances, used by the test suite to
@@ -13,7 +14,9 @@ stay within a dimension-dependent constant ``C_d``.  This module provides
 
 The search is deterministic: candidates are ranked by the norm the prefix
 would have after appending them, with ties broken by lowest input
-position.
+position.  Small inputs may backtrack up to ``_NODE_CAP`` expansions;
+above ``_BACKTRACK_LIMIT`` vectors the search gets ``n - 1``, enough for
+the greedy descent alone.
 """
 from __future__ import annotations
 
@@ -24,11 +27,11 @@ import numpy as np
 
 from .errors import InputError, PreconditionError, SearchError, SizeLimitError
 
-#: Instances at or below this size get the full backtracking search;
-#: larger ones use the plain greedy descent (identical choices, no undo).
+#: Instances at or below this size may take up to ``_NODE_CAP``
+#: expansions; larger ones get ``n - 1``, one greedy descent's worth.
 _BACKTRACK_LIMIT = 512
 
-#: Cap on candidate expansions inside the backtracking search.
+#: Cap on candidate expansions of the search for small instances.
 _NODE_CAP = 250_000
 
 BRUTE_FORCE_LIMIT = 10
@@ -106,100 +109,76 @@ def prefix_norms(vectors, order) -> np.ndarray:
     return np.linalg.norm(sums, axis=1)
 
 
-def _greedy_descent(vs: np.ndarray, threshold: float, order: list[int],
-                    prefix: np.ndarray, used: np.ndarray) -> list[int]:
+def _ordering_search(vs: np.ndarray, threshold: float, cap: int) -> list[int]:
+    """Depth-first search for an order of ``vs``, position 0 first, whose
+    running sums all have norm at most ``threshold``.
+
+    Each frame holds its prefix sum and the picks already tried there, and
+    takes the untried position whose appended prefix has the least
+    ``(norm, position)`` among those within ``threshold``; so the first
+    descent is the greedy one.  A frame with no such position is undone,
+    and its set of used positions is remembered as failed, so no later
+    frame reaches it again.  Every pick taken counts as one expansion,
+    and ``cap`` expansions are allowed.
+    """
     n = vs.shape[0]
     positions = np.arange(n)
-    while len(order) < n:
-        cand = positions[~used]
-        norms = np.linalg.norm(prefix[None, :] + vs[cand], axis=1)
-        feasible = norms <= threshold
-        if not feasible.any():
-            raise SearchError(
-                "greedy ordering hit a dead end below the requested bound")
-        norms = norms[feasible]
-        cand = cand[feasible]
-        best = norms.min()
-        pick = int(cand[norms == best].min())
-        order.append(pick)
-        used[pick] = True
-        prefix = prefix + vs[pick]
-    return order
-
-
-def _backtracking_order(vs: np.ndarray, threshold: float, order: list[int],
-                        prefix: np.ndarray, used: np.ndarray,
-                        node_cap: int) -> list[int]:
-    n = vs.shape[0]
-    positions = np.arange(n)
-
-    def candidates(pref: np.ndarray, used_now: np.ndarray) -> list[int]:
-        cand = positions[~used_now]
-        norms = np.linalg.norm(pref[None, :] + vs[cand], axis=1)
-        keep = norms <= threshold
-        cand, norms = cand[keep], norms[keep]
-        ranked = np.lexsort((cand, norms))
-        return [int(c) for c in cand[ranked]]
-
-    # the used positions as the bits of one int, kept in step with used
-    mask = sum(1 << int(i) for i in np.flatnonzero(used))
+    used = np.zeros(n, dtype=bool)
+    used[0] = True
+    order = [0]
+    mask = 1  # the used positions as the bits of one int
     failed: set[int] = set()
-    stack: list[tuple[np.ndarray, list[int], int]] = [
-        (prefix, candidates(prefix, used), 0)]
+    stack: list[tuple[np.ndarray, list[int]]] = [(vs[0], [])]
     nodes = 0
-    while stack:
-        pref, cands, next_at = stack[-1]
-        if len(order) == n:
-            return order
-        advanced = False
-        while next_at < len(cands):
-            pick = cands[next_at]
-            next_at += 1
-            nodes += 1
-            if nodes > node_cap:
-                raise SearchError(
-                    f"ordering search exceeded {node_cap} expansions")
-            if (mask | 1 << pick) in failed:
-                continue
-            used[pick] = True
-            mask |= 1 << pick
-            stack[-1] = (pref, cands, next_at)
-            order.append(pick)
-            new_pref = pref + vs[pick]
-            if len(order) == n:
-                return order
-            stack.append((new_pref, candidates(new_pref, used), 0))
-            advanced = True
-            break
-        if not advanced:
+    while len(order) < n:
+        prefix, tried = stack[-1]
+        free = ~used
+        free[tried] = False
+        cand = positions[free]
+        x = prefix + vs[cand]
+        # np.linalg.norm's own operations, so the same bits
+        norms = np.sqrt(np.add.reduce(x * x, axis=1))
+        best = int(norms.argmin()) if cand.size else -1
+        if best < 0 or not norms[best] <= threshold:
             failed.add(mask)
             stack.pop()
-            if order:
-                undone = order.pop()
-                used[undone] = False
-                mask &= ~(1 << undone)
-    raise SearchError("no ordering satisfies the requested prefix bound")
+            if not stack:
+                raise SearchError(
+                    "no ordering satisfies the requested prefix bound")
+            undone = order.pop()
+            used[undone] = False
+            mask &= ~(1 << undone)
+            continue
+        pick = int(cand[best])
+        nodes += 1
+        if nodes > cap:
+            raise SearchError(f"ordering search exceeded {cap} expansions")
+        tried.append(pick)
+        if (mask | 1 << pick) in failed:
+            continue
+        used[pick] = True
+        mask |= 1 << pick
+        order.append(pick)
+        stack.append((prefix + vs[pick], []))
+    return order
 
 
 def order_with_threshold(vectors, threshold: float) -> list[int]:
     """Order all vectors, keeping position 0 first, so every running prefix
     has norm at most ``threshold``.
 
-    Greedy choice with full backtracking for small inputs; pure greedy for
-    large ones.  Raises SearchError when no ordering within the bound is
-    found.
+    One depth-first search (``_ordering_search``): up to ``_NODE_CAP``
+    expansions for inputs of at most ``_BACKTRACK_LIMIT`` vectors, and
+    ``n - 1`` for larger ones, as many as a greedy descent that finishes
+    takes (one that dead-ends may backtrack on what it left).  Raises
+    SearchError when no ordering within the bound is found.
     """
     vs = _as_matrix(vectors)
     n = vs.shape[0]
-    prefix = vs[0].copy()
-    if np.linalg.norm(prefix) > threshold:
+    if np.linalg.norm(vs[0]) > threshold:
         raise SearchError("the fixed first vector already exceeds the bound")
-    order = [0]
-    used = np.zeros(n, dtype=bool)
-    used[0] = True
-    if n > _BACKTRACK_LIMIT:
-        return _greedy_descent(vs, threshold, order, prefix, used)
-    return _backtracking_order(vs, threshold, order, prefix, used, _NODE_CAP)
+    cap = _NODE_CAP if n <= _BACKTRACK_LIMIT else n - 1
+    return _ordering_search(vs, threshold, cap)
 
 
 def confine_zero_sum(vectors, tol: float = 1e-9,

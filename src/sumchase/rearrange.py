@@ -562,8 +562,7 @@ def complementary_boosts(fam: FamilyVector, dim: int, scale: float,
 
 
 def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
-                      threshold: float,
-                      modulus: int | None = None) -> np.ndarray | None:
+                      modulus: int | None = None) -> np.ndarray:
     """Balanced interleaving of residue lanes; the engine's block orderer.
 
     The sorted block is grouped by residue class mod ``modulus`` (by
@@ -573,10 +572,10 @@ def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
     total ``c`` up to and including it, and ``C`` in all, gets the key
     ``(c - t/2) / C``, the midpoint of its share of the lane's mass.  The
     block is taken in ascending key order; equal keys keep ascending
-    index order, so a single lane comes out in ascending order.  One
-    ``np.cumsum`` then checks every running ``dim``-dimensional sum of
-    the block.  The result is the ordered block as an int64 array, or
-    None when any of their norms exceeds ``threshold``.
+    index order, so a single lane comes out in ascending order.  The
+    result is the ordered block as an int64 array.  It only orders:
+    the caller measures the running sums it cares about (the chain's
+    ``leq`` does, in its ``block-prefixes`` bullet).
 
     Every lane drains at the same rate, so each prefix is within half a
     term per lane of ``s * B``, where ``B`` is the block sum and ``s``
@@ -591,8 +590,7 @@ def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
     idx = np.sort(np.asarray(indices, dtype=np.int64))
     if not idx.size:
         return idx
-    rows = vector_terms(fam, idx, dim)
-    norms = np.linalg.norm(rows, axis=1)
+    norms = np.linalg.norm(vector_terms(fam, idx, dim), axis=1)
     lanes = idx % modulus
     by_lane = np.argsort(lanes, kind="stable")
     cuts = np.flatnonzero(np.diff(lanes[by_lane])) + 1
@@ -601,11 +599,7 @@ def order_block_lanes(fam: FamilyVector, indices: Sequence[int], dim: int,
         t = norms[group]
         c = np.cumsum(t)
         key[group] = (c - t / 2) / c[-1]
-    order = np.argsort(key, kind="stable")
-    del norms, lanes, by_lane, key
-    if _largest_running_norm(rows[order]) > threshold:
-        return None
-    return idx[order]
+    return idx[np.argsort(key, kind="stable")]
 
 
 def _select_scalar(spec: SeriesSpec, residual: float, used: UsedIndices,
@@ -623,9 +617,9 @@ def _select_scalar(spec: SeriesSpec, residual: float, used: UsedIndices,
 def order_block(fam: FamilyVector, indices: Sequence[int],
                 dim: int) -> np.ndarray:
     """Order a block for appending: order_block_lanes with its default
-    lanes and no limit, so running sums stay near the segment from the
-    old sum to the new one."""
-    return order_block_lanes(fam, indices, dim, math.inf)
+    lanes, so running sums stay near the segment from the old sum to the
+    new one."""
+    return order_block_lanes(fam, indices, dim)
 
 
 def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,

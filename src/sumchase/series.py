@@ -382,15 +382,18 @@ def tail_sup_bound(obj: SeriesSpec | FamilyVector, m: int,
     """Upper bound on every term (norm) at indices ``>= m``.
 
     Nonincreasing in ``m`` and tending to zero.  For a family the bound
-    covers the Euclidean norm of the d-dimensional term vector.
+    covers the Euclidean norm of the d-dimensional term vector: it
+    combines the coordinate bounds with ``np.linalg.norm``'s own
+    operations, so it is at least the norm the checks measure on any
+    term vector within them (rounding is monotone).
     """
     if m < 0:
         raise InputError("tail start index must be nonnegative")
     if isinstance(obj, SeriesSpec):
         return _tail_spec(obj, m)
     d = len(obj) if d is None else d
-    return math.sqrt(math.fsum(_tail_spec(spec, m) ** 2
-                               for spec in obj.specs[:d]))
+    b = np.array([_tail_spec(spec, m) for spec in obj.specs[:d]])
+    return float(np.sqrt(np.add.reduce(b * b)))
 
 
 # ---------------------------------------------------------------------------

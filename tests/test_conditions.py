@@ -183,18 +183,33 @@ def test_single_extension_covers_and_tightens():
 
 
 def test_a_failed_ordering_halves_delta_and_retries(monkeypatch):
+    """A block whose running sums break the link's limit is rejected on
+    its block-prefixes bullet alone, before the new condition is checked,
+    and the next attempt runs with half the ``delta``."""
     base = initial_condition(PAIR, TARGETS)
     plain = extend_detail(base, 2, PAIR, TARGETS, budget=10 ** 6)
-    real = conditions.order_block_lanes
-    calls = []
+    real_stats = conditions.block_statistics
+    real_check = conditions.is_condition
+    measured, checked = [], []
 
-    def fail_once(*args, **kwargs):
-        calls.append(args)
-        return None if len(calls) == 1 else real(*args, **kwargs)
+    def over_the_limit_once(fam, indices, dim):
+        sums, prefix_max = real_stats(fam, indices, dim)
+        measured.append(prefix_max)
+        if len(measured) == 1:
+            prefix_max = float(2 * base.eps)
+        return sums, prefix_max
 
-    monkeypatch.setattr(conditions, "order_block_lanes", fail_once)
+    def counted_check(cond, *args, **kwargs):
+        checked.append(cond.eps)
+        return real_check(cond, *args, **kwargs)
+
+    monkeypatch.setattr(conditions, "block_statistics", over_the_limit_once)
+    monkeypatch.setattr(conditions, "is_condition", counted_check)
     detail = extend_detail(base, 2, PAIR, TARGETS, budget=10 ** 6)
-    assert len(calls) >= 2
+    assert len(measured) == 2
+    assert measured[0] < float(2 * base.eps) * 0.98
+    # the input condition, then only the second attempt's candidate
+    assert checked == [base.eps, detail.condition.eps]
     assert detail.check.ok
     assert detail.link.ok
     assert detail.condition.eps == plain.condition.eps / 2

@@ -1,4 +1,5 @@
 """Prefix-norm confinement: schedules, orderings, and the oracle."""
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from sumchase import (ConstantSchedule, InputError, SearchError,
                       SizeLimitError, brute_force_confine, confine_with_anchor,
                       confine_zero_sum, order_with_threshold, prefix_norms,
                       published_constant)
-from sumchase.confinement import _backtracking_order, _greedy_descent
+from sumchase.confinement import _BACKTRACK_LIMIT, _ordering_search
 
 
 def zero_sum_instance(seed: int, n: int, d: int) -> np.ndarray:
@@ -129,25 +130,20 @@ def test_order_with_threshold_reports_impossible_bounds():
 
 
 def _search(values, node_cap):
-    vs = np.array(values)[:, None]
-    used = np.zeros(len(vs), dtype=bool)
-    used[0] = True
-    return _backtracking_order(vs, 1.0, [0], vs[0].copy(), used, node_cap)
+    return _ordering_search(np.array(values)[:, None], 1.0, node_cap)
 
 
 def test_ordering_search_backtracks_out_of_a_greedy_dead_end():
-    """Greedy descent dead-ends on these 1-D vectors; the search backs out
-    of it in 8 expansions, and proves a second list unorderable in 652,
-    which the memo of failed used-subsets keeps that small (9 vectors
-    have 8! orders)."""
+    """The greedy first descent dead-ends on these 1-D vectors: 6
+    expansions, one per vector after the first, would finish it.  The
+    search backs out in 8 expansions, and proves a second list
+    unorderable in 652, which the memo of failed used-subsets keeps that
+    small (9 vectors have 8! orders)."""
     values = [-0.5, -0.5, 0.8, -0.5, -0.8, -0.4, 1.9]
-    vs = np.array(values)[:, None]
-    used = np.zeros(len(vs), dtype=bool)
-    used[0] = True
-    with pytest.raises(SearchError, match="dead end"):
-        _greedy_descent(vs, 1.0, [0], vs[0].copy(), used)
     expected = [0, 2, 5, 4, 6, 1, 3]
-    assert order_with_threshold(vs, 1.0) == expected
+    with pytest.raises(SearchError, match="expansions"):
+        _search(values, len(values) - 1)
+    assert order_with_threshold(np.array(values)[:, None], 1.0) == expected
     assert _search(values, 8) == expected
     with pytest.raises(SearchError, match="expansions"):
         _search(values, 7)
@@ -156,6 +152,47 @@ def test_ordering_search_backtracks_out_of_a_greedy_dead_end():
         _search(stuck, 652)
     with pytest.raises(SearchError, match="expansions"):
         _search(stuck, 651)
+
+
+def _anchored_instance(seed: int, n: int, d: int, rho: float):
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-1.0, 1.0, size=(n, d))
+    b = raw.sum(axis=0)
+    scale = min(rho / np.linalg.norm(raw, axis=1).max(),
+                rho / np.linalg.norm(b)) * 0.99
+    return raw * scale, b * scale
+
+
+def _digest(permutation) -> str:
+    text = ",".join(str(i) for i in permutation)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_orderings_keep_their_pinned_digests():
+    """The permutations of zero-sum and anchored lists on both sides of
+    _BACKTRACK_LIMIT, and of a 1-D list whose greedy descent dead-ends
+    (so the search backtracks), hashed as comma-separated positions."""
+    zero = {(3, 300, 3): "e2b426e833eee3f3b5b16406b6260c9f"
+                         "2a1f54e556b1edf1512205c4fabc2660",
+            (5, 760, 3): "c8567103f6bcda0d0812cc09a9d4b362"
+                         "2628f2bfacfc47e497018b0532a71c71"}
+    for (seed, n, d), want in zero.items():
+        result = confine_zero_sum(zero_sum_instance(seed, n, d))
+        assert _digest(result.permutation) == want, (seed, n, d)
+    anchored = {(4, 480, 2, 1.0): "a7b3f288be6cddd0553aa8e235dc9ec9"
+                                  "ed32565efab0dd3abf443c7aa49afad5",
+                (6, 1180, 3, 2.0): "66ade3f6839cea452209818a29eb3037"
+                                   "dc99815fc775d72c464890660042e69e"}
+    for (seed, n, d, rho), want in anchored.items():
+        vs, b = _anchored_instance(seed, n, d, rho)
+        result = confine_with_anchor(vs, b, rho)
+        assert _digest(result.permutation) == want, (seed, n, d, rho)
+    assert 300 < _BACKTRACK_LIMIT < 760
+    rng = np.random.default_rng(1)
+    line = rng.uniform(-1.0, 1.0, size=40)
+    line[-1] -= line.sum()
+    assert (_digest(order_with_threshold(line[:, None], 0.9))
+            == "5f57e3cea0b90492065041ca8c0119a3e0289af68440b503c4e2ef4030258000")
 
 
 @settings(max_examples=25, deadline=None)

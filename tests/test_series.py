@@ -259,6 +259,21 @@ def test_family_tail_bound_covers_the_vector_norm():
         assert np.linalg.norm(vector_term(fam, k)) <= tail_sup_bound(fam, m)
 
 
+def test_family_tail_bound_is_at_least_the_measured_norm():
+    """The checks measure term vectors with ``np.linalg.norm``, so the
+    family bound at ``m`` must be at least that norm at ``m``; combining
+    the coordinates in any other order of operations can leave it one
+    rounding step below."""
+    pair = family(rademacher_harmonic(0), rademacher_harmonic(1))
+    scaled = family(composite([(8.0, rademacher_harmonic(0))]),
+                    rademacher_harmonic(1), rademacher_harmonic(2))
+    ms = np.arange(100_000, dtype=np.int64)
+    for fam in (pair, scaled):
+        bounds = np.array([tail_sup_bound(fam, m) for m in range(len(ms))])
+        norms = np.linalg.norm(vector_terms(fam, ms, len(fam)), axis=1)
+        assert (norms <= bounds).all()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sets(st.integers(min_value=0, max_value=5000), min_size=1,
                max_size=60),
