@@ -31,7 +31,7 @@ from .errors import (BudgetExhaustedError, DisagreementError,
                      InfeasibleEtaError, InputError, SearchError)
 from .fileio import parse_spec_file, trace_rows, write_certificate, write_trace
 from .rearrange import chase_target, riemann_rearrange
-from .series import classical_sum, is_conditionally_convergent
+from .series import classical_sum
 from .subspace import (dependency_decompose, growth_statistics, k_space_basis,
                        r_space)
 
@@ -125,12 +125,7 @@ def _cmd_rearrange(args, schedule) -> int:
     fam = _single_family(args.spec)
     targets = _parse_floats(args.targets, "--targets")
     if len(targets) == 1:
-        spec = fam[0]
-        if not is_conditionally_convergent(spec):
-            raise InputError(
-                "single-target rearrangement needs a conditionally "
-                "convergent first series")
-        plan = riemann_rearrange(spec, targets[0], args.eps,
+        plan = riemann_rearrange(fam[0], targets[0], args.eps,
                                  budget=args.budget)
     else:
         plan = chase_target(fam, None, targets, args.eps, seed=args.seed,

@@ -313,7 +313,7 @@ def extend_detail(cond: Condition, n: int, fam: FamilyVector, targets,
     eta: Fraction | None = None
     for t in range(1, _ETA_STEPS + 1):
         candidate = cond.eps * (1 - Fraction(1, 2 ** t))
-        if Fraction(tail_ceiling) + _SLACK_FRACTION < candidate / c_d:
+        if certified_lt(tail_ceiling, candidate / c_d):
             eta = candidate
             break
     if eta is None:

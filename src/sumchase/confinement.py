@@ -195,7 +195,7 @@ def confine_zero_sum(vectors, tol: float = 1e-9,
     worst = int(norms.argmax())
     if norms[worst] > 1.0 + tol:
         raise PreconditionError(
-            f"vector {worst} has norm {norms[worst]!r}, above 1 + tol")
+            f"vector {worst} has norm {float(norms[worst])!r}, above 1 + tol")
     resid = float(np.linalg.norm(vs.sum(axis=0)))
     if resid > tol:
         raise PreconditionError(
@@ -232,7 +232,8 @@ def confine_with_anchor(vectors, b, rho: float, tol: float = 1e-9,
     worst = int(norms.argmax())
     if norms[worst] > rho * (1.0 + inner_tol):
         raise PreconditionError(
-            f"vector {worst} has norm {norms[worst]!r}, above rho={rho!r}")
+            f"vector {worst} has norm {float(norms[worst])!r}, "
+            f"above rho={rho!r}")
     anchor_norm = float(np.linalg.norm(anchor))
     if anchor_norm > rho * (1.0 + inner_tol):
         raise PreconditionError(

@@ -15,8 +15,9 @@ family is a list of series descriptions keyed by ``kind``:
 
 Output files are byte stable: floats are written with ``repr`` and lines
 end with a bare newline, so identical runs produce identical bytes.
-Traces are computed in this process and formatted in jobs of ``2**10``
-rows, column by column: a term column whose magnitudes equal those of an
+A trace is written only from what :func:`trace_rows` returns.  Its sums
+are computed in this process and formatted in jobs of ``2**10`` rows,
+column by column: a term column whose magnitudes equal those of an
 earlier column in the job reuses that column's ``repr`` strings and adds
 the signs, so a sign-pattern family with coefficients of ±1 formats one
 magnitude per row (see :func:`_format_job`).  A trace longer than
@@ -28,7 +29,6 @@ the same either way (see :func:`emit_trace`).
 from __future__ import annotations
 
 import collections
-import itertools
 import json
 import math
 import os
@@ -37,7 +37,7 @@ import signal
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -207,17 +207,13 @@ def _header(dim: int, annotated: bool) -> str:
     return ",".join(header) + "\n"
 
 
-def _row_format(dim: int) -> str:
-    return "%s,%s" + ",%r" * (2 * dim) + "%s"
-
-
 _SIGNS = ("", "-")
 
 
 def _format_job(job: _TraceJob) -> list[str]:
     """The CSV lines of one job, each ending in a bare newline.
 
-    The bytes are those of :func:`_row_format` applied row by row, but the
+    The bytes are those of ``%r``-formatting each float row by row, but the
     text is built column by column.  Each term column is written as the
     ``repr`` of its magnitude with ``"-"`` in front where the sign bit is
     set (``repr(-x) == "-" + repr(x)`` for every float but NaN, whose
@@ -254,8 +250,8 @@ def _format_job(job: _TraceJob) -> list[str]:
 
 
 class _Trace:
-    """What :func:`trace_rows` returns: an iterator of :class:`TraceRow`
-    whose rows :func:`emit_trace` can also take as formatting jobs.
+    """What :func:`trace_rows` returns: an iterable of :class:`TraceRow`
+    whose rows :func:`emit_trace` takes as formatting jobs.
 
     Only the lengths of the chain's conditions are read up front; nothing
     is computed until the rows or the jobs are asked for.
@@ -278,22 +274,6 @@ class _Trace:
                 [len(c.injection) for c in chain.conditions])
         # the condition columns are written when step 0 has a condition
         self.annotated = bool(len(self._lengths) and self._lengths[-1] > 0)
-        self._rows: Iterator[TraceRow] | None = None
-
-    def __iter__(self) -> _Trace:
-        return self
-
-    def __next__(self) -> TraceRow:
-        if self._rows is None:
-            self._rows = self._row_iter()
-        return next(self._rows)
-
-    def take_jobs(self) -> Iterator[_TraceJob] | None:
-        """Every row as jobs, or None once rows have been taken."""
-        if self._rows is not None:
-            return None
-        self._rows = iter(())
-        return self._jobs()
 
     def _jobs(self) -> Iterator[_TraceJob]:
         fam, injection = self._args
@@ -316,7 +296,7 @@ class _Trace:
                 yield _TraceJob(start + lo, part[lo:hi], terms[lo:hi],
                                 sums[lo:hi], runs, self.annotated)
 
-    def _row_iter(self) -> Iterator[TraceRow]:
+    def __iter__(self) -> Iterator[TraceRow]:
         for job in self._jobs():
             for first, stop, active_dim, active_eps in job.runs:
                 for step, index, terms, sums in zip(
@@ -329,21 +309,21 @@ class _Trace:
 
 
 def trace_rows(fam: FamilyVector, injection: Sequence[int], dim: int,
-               chain: CertificateChain | None = None) -> Iterator[TraceRow]:
+               chain: CertificateChain | None = None) -> _Trace:
     """Recompute the running sums an injection produces, step by step.
 
-    Yields rows lazily (chains can run to millions of steps).  With a
-    chain, each row also records which condition was active when the
-    index was appended: the shallowest condition whose prefix already
-    contains that step.  Steps past the chain's last condition carry
-    ``None`` for both.
+    Iterating the result yields rows lazily (chains can run to millions
+    of steps), and each pass computes them again.  With a chain, each row
+    also records which condition was active when the index was appended:
+    the shallowest condition whose prefix already contains that step.
+    Steps past the chain's last condition carry ``None`` for both.
 
     The sums are ``np.cumsum`` runs over ``2**16``-step chunks with the
     total carried from chunk to chunk, so their bits do not depend on
-    how the rows are consumed.  Handed to :func:`emit_trace` before any
-    row is taken, the iterator gives up its rows as formatting jobs of
-    ``2**10`` rows instead, which is what lets long traces be formatted
-    in parallel.
+    how the rows are consumed.  :func:`emit_trace` and
+    :func:`write_trace` write only this object, as formatting jobs of
+    ``2**10`` rows, which is what lets long traces be formatted in
+    parallel; iterating it first changes nothing they write.
     """
     return _Trace(fam, injection, dim, chain)
 
@@ -425,25 +405,28 @@ def _daemonic() -> bool:
             and multiprocessing.current_process().daemon)
 
 
-def emit_trace(rows: Iterable[TraceRow], out: IO[str]) -> None:
-    """Write trace rows as CSV with repr floats, one ``out.write`` per row.
+def _check_trace(rows: object) -> None:
+    if not isinstance(rows, _Trace):
+        raise TypeError("a trace is written from what trace_rows returns, "
+                        f"not from {type(rows).__name__}")
 
-    Rows straight from :func:`trace_rows` are formatted job by job, under
-    the header of the trace's dimension even when it has no rows.  When
-    such a trace spans at least two ``2**16``-step chunks, this process
-    may run on two or more CPUs and it is not a daemonic
-    ``multiprocessing`` process (which may not have children), the jobs
-    go to ``min(cpus, jobs)`` forked worker processes; otherwise they are
-    formatted inline.  The sums are computed in this process either way
-    and the lines are written in step order, so the bytes do not depend
-    on the path or the CPU count.  Any other iterable of rows is formatted
-    row by row, and an empty one gets a one-column header.
+
+def emit_trace(rows: _Trace, out: IO[str]) -> None:
+    """Write a trace as CSV with repr floats, one ``out.write`` per row.
+
+    ``rows`` must be what :func:`trace_rows` returns; anything else raises
+    ``TypeError``.  Its rows are formatted job by job, under the header of
+    the trace's dimension even when it has no rows.  When the trace spans
+    at least two ``2**16``-step chunks, this process may run on two or
+    more CPUs and it is not a daemonic ``multiprocessing`` process (which
+    may not have children), the jobs go to ``min(cpus, jobs)`` forked
+    worker processes; otherwise they are formatted inline.  The sums are
+    computed in this process either way and the lines are written in step
+    order, so the bytes do not depend on the path or the CPU count.
     """
-    jobs = rows.take_jobs() if isinstance(rows, _Trace) else None
-    if jobs is None:
-        _emit_rows(iter(rows), out)
-        return
+    _check_trace(rows)
     out.write(_header(rows.dim, rows.annotated))
+    jobs = rows._jobs()
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else 1)
     workers = min(cpus, -(-rows.length // _JOB_ROWS))
@@ -455,22 +438,10 @@ def emit_trace(rows: Iterable[TraceRow], out: IO[str]) -> None:
             out.write(line)
 
 
-def _emit_rows(iterator: Iterator[TraceRow], out: IO[str]) -> None:
-    first = next(iterator, None)
-    dim = len(first.terms) if first is not None else 1
-    annotated = first is not None and first.active_dim is not None
-    out.write(_header(dim, annotated))
-    if first is None:
-        return
-    row_format = _row_format(dim)
-    for row in itertools.chain((first,), iterator):
-        suffix = (f",{row.active_dim},{row.active_eps}\n" if annotated
-                  else "\n")
-        out.write(row_format % (row.step, row.index, *row.terms, *row.sums,
-                                suffix))
-
-
-def write_trace(path: str, rows: Iterable[TraceRow]) -> None:
+def write_trace(path: str, rows: _Trace) -> None:
+    """Write a trace to ``path`` as :func:`emit_trace` does; a rejected
+    ``rows`` leaves no file behind."""
+    _check_trace(rows)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         emit_trace(rows, handle)
 

@@ -66,6 +66,19 @@ def test_confine_rejects_garbage_rows(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+def test_confine_reports_an_oversized_norm_as_a_plain_float(tmp_path,
+                                                            capsys):
+    rows = tmp_path / "one.txt"
+    rows.write_text("1 2 3\n")
+    assert main(["confine", str(rows)]) == 2
+    assert ("error: vector 0 has norm 3.7416573867739413, above 1 + tol"
+            in capsys.readouterr().err)
+    assert main(["confine", str(rows), "--anchor", "1,2,3",
+                 "--rho", "1.0"]) == 2
+    assert ("error: vector 0 has norm 3.7416573867739413, above rho=1.0"
+            in capsys.readouterr().err)
+
+
 def test_rearrange_single_target_with_trace(tmp_path, capsys):
     spec = write_family_file(tmp_path / "alt.json", [[ALT_HARMONIC_ENTRY]])
     trace = tmp_path / "trace.csv"

@@ -95,27 +95,46 @@ def test_trace_rows_replay_the_running_sums():
 def test_trace_rows_annotate_chain_stages(small_chain):
     fam, targets, chain, _, _ = small_chain
     rows = trace_rows(fam, chain.final().injection, 2, chain)
-    first = next(rows)
+    first = next(iter(rows))
     # the empty initial condition owns no steps, so the first round's
     # condition is the active one from step zero
     assert first.active_dim == chain.conditions[1].dim
     assert first.active_eps == chain.conditions[1].eps
 
 
-def test_rows_from_any_iterable_give_the_same_csv(small_chain):
+def test_traces_are_written_only_from_trace_rows(small_chain, tmp_path):
+    fam, _, chain, _, _ = small_chain
+    listed = list(trace_rows(fam, chain.final().injection, 2, chain))
+    for rows in (listed, iter(())):
+        buf = io.StringIO()
+        with pytest.raises(TypeError, match="trace_rows"):
+            emit_trace(rows, buf)
+        assert buf.getvalue() == ""
+        path = tmp_path / "rejected.csv"
+        with pytest.raises(TypeError, match="trace_rows"):
+            write_trace(str(path), rows)
+        assert not path.exists()
+
+
+def test_trace_rows_iterate_again_and_emit_in_full(small_chain):
     fam, _, chain, _, _ = small_chain
     injection = chain.final().injection
-    direct, listed = io.StringIO(), io.StringIO()
-    emit_trace(trace_rows(fam, injection, 2, chain), direct)
-    emit_trace(list(trace_rows(fam, injection, 2, chain)), listed)
-    assert listed.getvalue() == direct.getvalue()
-    assert direct.getvalue().startswith(
+    rows = trace_rows(fam, injection, 2, chain)
+    first = list(rows)
+    assert len(first) == len(injection)
+    assert list(rows) == first
+    iterated, fresh = io.StringIO(), io.StringIO()
+    emit_trace(rows, iterated)
+    emit_trace(trace_rows(fam, injection, 2, chain), fresh)
+    assert iterated.getvalue() == fresh.getvalue()
+    assert fresh.getvalue().startswith(
         "step,index,term_0,term_1,sum_0,sum_1,active_dim,active_eps\n")
+    assert fresh.getvalue().count("\n") == len(injection) + 1
 
 
 def test_empty_trace_is_just_a_header():
     buf = io.StringIO()
-    emit_trace(iter(()), buf)
+    emit_trace(trace_rows(family(power_alternating(1.0)), (), 1), buf)
     assert buf.getvalue() == "step,index,term_0,sum_0\n"
 
 
@@ -219,7 +238,7 @@ def test_format_job_writes_the_row_format(annotated):
     job = fileio._TraceJob(5, np.array([9, 3, 7, 0]), terms, sums,
                            ((0, 1, *labels[0]), (1, 4, *labels[1])),
                            annotated)
-    row_format = fileio._row_format(5)
+    row_format = "%s,%s" + ",%r" * 10 + "%s"
     expected = [row_format % (5 + row, int(job.indices[row]),
                               *terms[row].tolist(), *sums[row].tolist(),
                               f",{active_dim},{active_eps}\n" if annotated
