@@ -17,6 +17,13 @@ would have after appending them, with ties broken by lowest input
 position.  Small inputs may backtrack up to ``_NODE_CAP`` expansions;
 above ``_BACKTRACK_LIMIT`` vectors the search gets ``n - 1``, enough for
 the greedy descent alone.
+
+The search works column-major: it keeps the free vectors compacted as a
+``(d, m)`` array, one contiguous row per coordinate, so a frame makes
+O(d) numpy calls over at most n columns each, and a greedy descent takes
+O(n^2 d) flops.  Norms, in the search and in ``prefix_norms`` alike, add
+the squared coordinates left to right (``_column_norms``), which is
+``np.linalg.norm``'s own order for d <= 7.
 """
 from __future__ import annotations
 
@@ -102,11 +109,28 @@ def _check_tol(tol: float) -> None:
         raise InputError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of ``x`` (shape ``(d, m)``), computed
+    in place: ``x`` is squared, its rows are added left to right into
+    ``x[0]``, and ``x[0]`` takes the square root and is returned.
+
+    For d <= 7 this left fold gives ``np.linalg.norm(x.T, axis=1)`` bit for
+    bit (numpy 2.4); for d >= 8 numpy's pairwise sum adds in another order.
+    The search and ``prefix_norms`` both measure with it, so they agree in
+    every dimension.
+    """
+    np.multiply(x, x, out=x)
+    acc = x[0]
+    for row in x[1:]:
+        np.add(acc, row, out=acc)
+    return np.sqrt(acc, out=acc)
+
+
 def prefix_norms(vectors, order) -> np.ndarray:
     """Norms of the running sums of ``vectors`` taken in ``order``."""
     vs = _as_matrix(vectors)
     sums = np.cumsum(vs[np.asarray(order, dtype=np.intp)], axis=0)
-    return np.linalg.norm(sums, axis=1)
+    return _column_norms(sums.T.copy())
 
 
 def _ordering_search(vs: np.ndarray, threshold: float, cap: int) -> list[int]:
@@ -120,46 +144,61 @@ def _ordering_search(vs: np.ndarray, threshold: float, cap: int) -> list[int]:
     and its set of used positions is remembered as failed, so no later
     frame reaches it again.  Every pick taken counts as one expansion,
     and ``cap`` expansions are allowed.
+
+    Layout: the free positions are kept compacted in position order, as
+    a list and a ``(d, m)`` array of their coordinates, one contiguous row
+    per coordinate.  A pick is removed by shifting the tail left.  A frame
+    writes ``prefix + coordinates`` into a preallocated buffer, measures
+    it with ``_column_norms`` (the squares added in coordinate order), sets
+    the slots it has tried to ``inf`` and takes the ``argmin``.  A frame's
+    free positions are the same each time it is on top, since its children
+    are undone by then, so it keeps its tried picks as slots, and the slot
+    of its last pick is where that pick goes back when undone.  A frame
+    makes O(d) numpy calls over O(n d) numbers, and a greedy descent takes
+    O(n^2 d) flops.  ``vs`` is never written.
     """
-    n = vs.shape[0]
-    positions = np.arange(n)
-    used = np.zeros(n, dtype=bool)
-    used[0] = True
+    free = list(range(1, len(vs)))  # all positions but 0, ascending
+    cols = vs[1:].T.copy()  # a copy: at d = 1, vs[1:].T is C-contiguous
+    work = np.empty_like(cols)
     order = [0]
     mask = 1  # the used positions as the bits of one int
     failed: set[int] = set()
-    stack: list[tuple[np.ndarray, list[int]]] = [(vs[0], [])]
+    stack: list[tuple[np.ndarray, list[int]]] = [(vs[0][:, None], [])]
     nodes = 0
-    while len(order) < n:
+    while free:
+        m = len(free)
         prefix, tried = stack[-1]
-        free = ~used
-        free[tried] = False
-        cand = positions[free]
-        x = prefix + vs[cand]
-        # np.linalg.norm's own operations, so the same bits
-        norms = np.sqrt(np.add.reduce(x * x, axis=1))
-        best = int(norms.argmin()) if cand.size else -1
-        if best < 0 or not norms[best] <= threshold:
+        norms = _column_norms(np.add(prefix, cols[:, :m], out=work[:, :m]))
+        if tried:
+            # never picked: a finite threshold rejects inf, and under an
+            # infinite one no frame fails, so none is revisited with picks
+            norms[tried] = np.inf
+        best = int(norms.argmin())
+        if not norms[best] <= threshold:
             failed.add(mask)
             stack.pop()
             if not stack:
                 raise SearchError(
                     "no ordering satisfies the requested prefix bound")
+            slot = stack[-1][1][-1]  # where the parent took the undone pick
             undone = order.pop()
-            used[undone] = False
             mask &= ~(1 << undone)
+            free.insert(slot, undone)
+            cols[:, slot + 1:m + 1] = cols[:, slot:m]
+            cols[:, slot] = vs[undone]
             continue
-        pick = int(cand[best])
+        pick = free[best]
         nodes += 1
         if nodes > cap:
             raise SearchError(f"ordering search exceeded {cap} expansions")
-        tried.append(pick)
+        tried.append(best)
         if (mask | 1 << pick) in failed:
             continue
-        used[pick] = True
         mask |= 1 << pick
         order.append(pick)
-        stack.append((prefix + vs[pick], []))
+        stack.append((prefix + cols[:, best:best + 1], []))
+        del free[best]
+        cols[:, best:m - 1] = cols[:, best + 1:m]
     return order
 
 
@@ -175,7 +214,7 @@ def order_with_threshold(vectors, threshold: float) -> list[int]:
     """
     vs = _as_matrix(vectors)
     n = vs.shape[0]
-    if np.linalg.norm(vs[0]) > threshold:
+    if prefix_norms(vs, [0])[0] > threshold:
         raise SearchError("the fixed first vector already exceeds the bound")
     cap = _NODE_CAP if n <= _BACKTRACK_LIMIT else n - 1
     return _ordering_search(vs, threshold, cap)

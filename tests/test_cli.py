@@ -1,4 +1,5 @@
 """Command-line behavior: subcommands, exit codes, reproducible files."""
+import hashlib
 import json
 import os
 import subprocess
@@ -47,6 +48,45 @@ def test_confine_anchored_variant(vectors_file, tmp_path, capsys):
                  "--rho", "1.0", "--out", str(out)])
     assert code == 0
     assert out.exists()
+
+
+def _unit_zero_sum(seed: int, n: int, d: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-1, 1, size=(n, d))
+    v -= v.mean(axis=0)
+    return v / np.linalg.norm(v, axis=1).max()
+
+
+def test_confine_csv_bytes_are_pinned(tmp_path):
+    """sha256 of the ``step,input_position,prefix_norm`` output for CI's
+    600x3 zero-sum list (seed 7) and 400x2 anchored list (seed 8), a 1-D
+    list and a 4-D one, files written as CI writes them (``%.17g``); the
+    prefix_norm column pins the norm bits, not only the permutation."""
+    rng = np.random.default_rng(8)
+    anchored = rng.uniform(-1, 1, size=(400, 2))
+    anchored *= 0.99 / max(np.linalg.norm(anchored, axis=1).max(),
+                           np.linalg.norm(anchored.sum(axis=0)))
+    lists = {"zero": _unit_zero_sum(7, 600, 3), "anchored": anchored,
+             "line": _unit_zero_sum(9, 300, 1),
+             "four": _unit_zero_sum(10, 900, 4)}
+    want = {"zero": "0799a09ad811d3dbfce1afc4e86d24e6"
+                    "fdfda878df6cdcbc867e259188f5f668",
+            "anchored": "97f439030f55529dafdcfbce9176ad94"
+                        "a55b1b1ce803076a75e44a349a2bf370",
+            "line": "f6d31353623dc4dad4f778cdb2c925e4"
+                    "7a5c538a1a027e88441aa07f13a4983f",
+            "four": "a9db4201dc902b38342125f63b979dab"
+                    "b675e5ce5505aba02bf69d543030988c"}
+    for name, vectors in lists.items():
+        path = tmp_path / f"{name}.txt"
+        out = tmp_path / f"{name}.csv"
+        np.savetxt(path, vectors, fmt="%.17g")
+        argv = ["confine", str(path), "--out", str(out)]
+        if name == "anchored":
+            total = np.loadtxt(path).sum(axis=0)
+            argv.append("--anchor=" + ",".join(repr(float(x)) for x in total))
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want[name], name
 
 
 def test_confine_rejects_unreadable_input(tmp_path, capsys):

@@ -11,7 +11,8 @@ from sumchase import (ConstantSchedule, InputError, SearchError,
                       SizeLimitError, brute_force_confine, confine_with_anchor,
                       confine_zero_sum, order_with_threshold, prefix_norms,
                       published_constant)
-from sumchase.confinement import _BACKTRACK_LIMIT, _ordering_search
+from sumchase.confinement import (_BACKTRACK_LIMIT, _NODE_CAP,
+                                  _column_norms, _ordering_search)
 
 
 def zero_sum_instance(seed: int, n: int, d: int) -> np.ndarray:
@@ -152,6 +153,151 @@ def test_ordering_search_backtracks_out_of_a_greedy_dead_end():
         _search(stuck, 652)
     with pytest.raises(SearchError, match="expansions"):
         _search(stuck, 651)
+
+
+def _reference_search(vs: np.ndarray, threshold: float, cap: int) -> list[int]:
+    """The search as a per-frame gather over a used mask: the reference
+    that _ordering_search must match, pick for pick and error for error."""
+    n = vs.shape[0]
+    positions = np.arange(n)
+    used = np.zeros(n, dtype=bool)
+    used[0] = True
+    order = [0]
+    mask = 1
+    failed: set[int] = set()
+    stack: list[tuple[np.ndarray, list[int]]] = [(vs[0], [])]
+    nodes = 0
+    while len(order) < n:
+        prefix, tried = stack[-1]
+        free = ~used
+        free[tried] = False
+        cand = positions[free]
+        x = prefix + vs[cand]
+        norms = np.sqrt(np.add.reduce(x * x, axis=1))
+        best = int(norms.argmin()) if cand.size else -1
+        if best < 0 or not norms[best] <= threshold:
+            failed.add(mask)
+            stack.pop()
+            if not stack:
+                raise SearchError(
+                    "no ordering satisfies the requested prefix bound")
+            undone = order.pop()
+            used[undone] = False
+            mask &= ~(1 << undone)
+            continue
+        pick = int(cand[best])
+        nodes += 1
+        if nodes > cap:
+            raise SearchError(f"ordering search exceeded {cap} expansions")
+        tried.append(pick)
+        if (mask | 1 << pick) in failed:
+            continue
+        used[pick] = True
+        mask |= 1 << pick
+        order.append(pick)
+        stack.append((prefix + vs[pick], []))
+    return order
+
+
+def _outcome(search, vs, threshold, cap):
+    try:
+        return search(vs, threshold, cap)
+    except SearchError as exc:
+        return str(exc)
+
+
+def test_search_matches_the_reference_loop_on_small_instances():
+    """Seeded lists (n 2-12, d 1-7, half of them zero-sum, half on a grid
+    of quarters so that norms tie) under thresholds between 0.3 and 1.5
+    times the longest vector, which make the search backtrack, find no
+    ordering or run out of expansions."""
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for i in range(2000):
+        n = int(rng.integers(2, 13))
+        d = int(rng.integers(1, 8))
+        vs = rng.uniform(-1.0, 1.0, size=(n, d))
+        if i % 4 >= 2:
+            vs = np.round(vs * 4.0) / 4.0
+        if i % 2:
+            vs[-1] -= vs.sum(axis=0)
+        threshold = (float(rng.uniform(0.3, 1.5))
+                     * float(np.linalg.norm(vs, axis=1).max()))
+        full, greedy = (_outcome(_reference_search, vs, threshold, cap)
+                        for cap in (_NODE_CAP, n - 1))
+        assert _outcome(_ordering_search, vs, threshold, _NODE_CAP) == full
+        assert _outcome(_ordering_search, vs, threshold, n - 1) == greedy
+        seen.add(full.split()[-1] if isinstance(full, str)
+                 else "greedy" if full == greedy else "backtracked")
+        if isinstance(greedy, str):
+            seen.add(greedy.split()[-1])
+    assert seen == {"bound", "expansions", "backtracked", "greedy"}
+
+
+def test_search_matches_the_reference_loop_on_benchmark_shaped_lists():
+    """Zero-sum and anchored lists of 760-1820 vectors in d = 2-4, past
+    _BACKTRACK_LIMIT, so the search is the greedy descent with n - 1
+    expansions; anchored lists are searched as confine_with_anchor
+    searches them, with -b appended and everything divided by rho."""
+    cases = [(zero_sum_instance(5, 760, 3), 1.0),
+             (zero_sum_instance(8, 1820, 3), 1.0),
+             (zero_sum_instance(9, 1250, 4), 1.0)]
+    for seed, n, d, rho in ((4, 1500, 2, 1.0), (6, 1100, 4, 2.0),
+                            (7, 940, 2, 0.5)):
+        vs, b = _anchored_instance(seed, n, d, rho)
+        cases.append((np.vstack([vs, -b[None, :]]) / rho, rho))
+    for vs, rho in cases:
+        n, d = vs.shape
+        assert n > _BACKTRACK_LIMIT
+        threshold = published_constant(d) + 1e-9 / (2.0 * max(1.0, rho))
+        want = _reference_search(vs, threshold, n - 1)
+        assert _ordering_search(vs, threshold, n - 1) == want, (n, d)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_confinement_never_writes_into_the_callers_array(d):
+    """The search copies the free vectors before it shifts them: at d = 1,
+    vs[1:].T is already C-contiguous, so np.ascontiguousarray would hand
+    back the caller's memory."""
+    vs = zero_sum_instance(3, 9, d)
+    values = [-0.5, -0.5, 0.8, -0.5, -0.8, -0.4, 1.9]
+    backtracks = np.repeat(np.array(values)[:, None], d, axis=1) / math.sqrt(d)
+    anchored, b = _anchored_instance(3, 9, d, 1.0)
+    calls = [(lambda a: _ordering_search(a, 1.0, _NODE_CAP), backtracks),
+             (lambda a: _ordering_search(a, 2.0, _NODE_CAP), vs),
+             (confine_zero_sum, vs),
+             (lambda a: confine_with_anchor(a, b, 1.0), anchored)]
+    if d == 1:
+        calls += [(confine_zero_sum, vs[:, 0].copy()),
+                  (lambda a: confine_with_anchor(a, b, 1.0),
+                   anchored[:, 0].copy())]
+    for call, arg in calls:
+        before = arg.copy()
+        call(arg)
+        assert np.array_equal(arg, before)
+
+
+def test_column_norms_are_the_norms_the_bound_checks_read():
+    """For d <= 7 the left fold is np.linalg.norm bit for bit.  For d >= 8
+    it adds in another order than numpy's pairwise sum, and prefix_norms
+    measures with the same fold as the search, so an ordering the search
+    accepts is never over its threshold as prefix_norms reads it."""
+    rng = np.random.default_rng(0)
+    for d in range(1, 8):
+        x = (rng.standard_normal((20_000, d))
+             * rng.uniform(0.01, 100.0, size=(20_000, 1)))
+        got = _column_norms(x.T.copy())
+        assert np.array_equal(got, np.linalg.norm(x, axis=1)), d
+    for d in range(8, 13):
+        for seed, n in enumerate((40, 190, 600, 900)):
+            vs = zero_sum_instance(100 * d + seed, n, d)
+            result = confine_zero_sum(vs)
+            reached = float(prefix_norms(vs, result.permutation).max())
+            assert result.max_prefix_norm == reached
+            # the largest prefix now sits exactly on the threshold
+            order = order_with_threshold(vs, reached)
+            assert tuple(order) == result.permutation
+            assert prefix_norms(vs, order).max() <= reached
 
 
 def _anchored_instance(seed: int, n: int, d: int, rho: float):
