@@ -32,8 +32,7 @@ from .errors import (BudgetExhaustedError, DisagreementError,
 from .fileio import parse_spec_file, trace_rows, write_certificate, write_trace
 from .rearrange import chase_target, riemann_rearrange
 from .series import classical_sum
-from .subspace import (dependency_decompose, growth_statistics, k_space_basis,
-                       r_space)
+from .subspace import dependency_decompose, k_space_growth, r_space
 
 SCHEDULE_ENV = "RL_CONSTANT_SCHEDULE"
 
@@ -160,7 +159,7 @@ def _cmd_analyze(args, schedule) -> int:
     fam = _single_family(args.spec)
     dim = len(fam)
     lines = [f"series: {dim}"]
-    basis = k_space_basis(fam, dim, truncation=args.truncation)
+    basis, growth = k_space_growth(fam, dim, truncation=args.truncation)
     lines.append(f"kernel dimension: {len(basis)}")
     for cv in basis:
         pairs = ",".join(f"{k}:{v!r}" for k, v in zip(cv.support, cv.values))
@@ -181,9 +180,7 @@ def _cmd_analyze(args, schedule) -> int:
     lines.append("classical sums: "
                  + ",".join(repr(classical_sum(spec, args.precision))
                             for spec in fam.specs))
-    for i in range(dim):
-        coeffs = [1.0 if j == i else 0.0 for j in range(dim)]
-        stats = growth_statistics(fam, coeffs, truncation=args.truncation)
+    for i, stats in enumerate(growth):
         lines.append(f"growth {i}: abs_sum={stats.abs_sum!r} "
                      f"ratio={stats.ratio!r} verdict={stats.verdict()}")
     out, close = _open_out(args.out)

@@ -13,28 +13,22 @@ family is a list of series descriptions keyed by ``kind``:
   same family or an inline description, plus an optional absolutely
   convergent ``perturbation``.
 
-Output files are byte stable: floats are written with ``repr`` and lines
-end with a bare newline, so identical runs produce identical bytes.
-A trace is written only from what :func:`trace_rows` returns.  Its sums
-are computed in this process and formatted in jobs of ``2**10`` rows,
-column by column: a term column whose magnitudes equal those of an
-earlier column in the job reuses that column's ``repr`` strings and adds
-the signs, so a sign-pattern family with coefficients of ±1 formats one
-magnitude per row (see :func:`_format_job`).  A trace longer than
-``2**16`` steps has its jobs formatted by forked worker processes when
-this process may use two or more CPUs and is not itself a daemonic
-worker, and its lines are still written in step order, so the bytes are
-the same either way (see :func:`emit_trace`).
+Output files are byte stable: floats are written as ``repr`` writes them
+and lines end with a bare newline, so identical runs produce identical
+bytes.  A trace is written only from what :func:`trace_rows` returns,
+and all of it in this process: its sums are computed in ``2**16``-step
+chunks and its rows are formatted in jobs of ``2**11`` rows.  A job's
+text is built column by column in numpy, each float with the bytes of
+its ``repr`` (see :mod:`._shortest`); a term column whose magnitudes
+equal those of an earlier column in the job reuses that column's text
+and sets its own signs, so a sign-pattern family with coefficients of
+±1 formats one magnitude per row (see :func:`_format_job`).
 """
 from __future__ import annotations
 
-import collections
 import json
 import math
-import os
 import re
-import signal
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Iterator, NamedTuple, Sequence
@@ -42,6 +36,7 @@ from typing import IO, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .conditions import CertificateChain, Condition
+from ._shortest import float_cells, int_cells
 from .errors import InputError
 from .series import (FamilyVector, SeriesSpec, abs_power, composite, family,
                      power_alternating, rademacher_harmonic, vector_terms)
@@ -177,9 +172,10 @@ class TraceRow(NamedTuple):
 _TRACE_CHUNK = 1 << 16
 
 #: Rows per formatting job.  It divides ``_TRACE_CHUNK``, so a trace of
-#: ``n`` steps makes ``ceil(n / _JOB_ROWS)`` jobs.  Jobs of ``2**11`` and
-#: ``2**12`` rows were no faster in workers and hold more objects at once.
-_JOB_ROWS = 1 << 10
+#: ``n`` steps makes ``ceil(n / _JOB_ROWS)`` jobs.  Jobs of ``2**10`` to
+#: ``2**12`` rows format the benchmark chain's trace equally fast; the
+#: smaller the job, the fewer bytes its intermediates hold at once.
+_JOB_ROWS = 1 << 11
 
 
 class _TraceJob(NamedTuple):
@@ -207,46 +203,59 @@ def _header(dim: int, annotated: bool) -> str:
     return ",".join(header) + "\n"
 
 
-_SIGNS = ("", "-")
-
-
 def _format_job(job: _TraceJob) -> list[str]:
     """The CSV lines of one job, each ending in a bare newline.
 
     The bytes are those of ``%r``-formatting each float row by row, but the
-    text is built column by column.  Each term column is written as the
-    ``repr`` of its magnitude with ``"-"`` in front where the sign bit is
-    set (``repr(-x) == "-" + repr(x)`` for every float but NaN, whose
-    ``repr`` has no sign).  A term column whose ``np.abs`` equals that of
-    an earlier column over the whole job reuses that column's magnitude
-    strings: in a sign-pattern family with coefficients of ±1 and one
-    exponent, every term column shares the first column's magnitudes, so
-    a row of ``d`` terms costs one ``repr`` instead of ``d``.
+    text is built column by column: every cell of the job goes into one
+    uint8 matrix, padded with NUL bytes (see :mod:`._shortest`), and one
+    ``bytes.translate`` drops the padding of every row at once.  A term
+    column whose ``np.abs`` equals that of an earlier column over the
+    whole job reuses that column's magnitude cells and writes its own
+    sign byte (``repr(-x) == "-" + repr(x)`` for every float but NaN,
+    whose ``repr`` has no sign): in a sign-pattern family with
+    coefficients of ±1 and one exponent, every term column shares the
+    first column's magnitudes, so a row of ``d`` terms formats one
+    magnitude instead of ``d``.
     """
     terms = job.terms
+    rows, dim = terms.shape
     magnitudes = np.abs(terms)
-    formatted: list[tuple[np.ndarray, list[str]]] = []
-    columns = [list(map(str, range(job.start, job.start + len(terms)))),
-               list(map(str, job.indices.tolist()))]
-    for col in range(terms.shape[1]):
-        magnitude = magnitudes[:, col]
-        texts = next((texts for earlier, texts in formatted
-                      if np.array_equal(earlier, magnitude)), None)
-        if texts is None:
-            texts = list(map(repr, magnitude.tolist()))
-            formatted.append((magnitude, texts))
-        negative = np.signbit(terms[:, col]) & ~np.isnan(terms[:, col])
-        columns.append(list(map(str.__add__,
-                                [_SIGNS[n] for n in negative.tolist()],
-                                texts)))
-    columns += [list(map(repr, sums.tolist())) for sums in job.sums.T]
-    lines: list[str] = []
-    for first, stop, active_dim, active_eps in job.runs:
-        suffix = f",{active_dim},{active_eps}\n" if job.annotated else "\n"
-        lines += [",".join(cells) + suffix
-                  for cells in zip(*(column[first:stop]
-                                     for column in columns))]
-    return lines
+    unique: list[np.ndarray] = []
+    sources = []
+    for col in range(dim):
+        source = next((pos for pos, earlier in enumerate(unique)
+                       if np.array_equal(earlier, magnitudes[:, col])), None)
+        if source is None:
+            source = len(unique)
+            unique.append(magnitudes[:, col])
+        sources.append(source)
+    floats = float_cells(np.column_stack(unique + [job.sums]))
+    ints = int_cells(np.column_stack(
+        [np.arange(job.start, job.start + rows), job.indices]))
+    suffixes = [f",{active_dim},{active_eps}\n".encode() if job.annotated
+                else b"\n" for _, _, active_dim, active_eps in job.runs]
+    # every cell but the last is followed by a comma, the row by a suffix
+    int_width = ints.shape[2] + 1
+    float_width = floats.shape[2] + 1
+    start = 2 * int_width
+    end = start + 2 * dim * float_width
+    matrix = np.zeros((rows, end + max(map(len, suffixes))), dtype=np.uint8)
+    matrix[:, :start].reshape(rows, 2, int_width)[:, :, :-1] = ints
+    matrix[:, int_width - 1:start:int_width] = ord(",")
+    cells = matrix[:, start:end].reshape(rows, 2 * dim, float_width)
+    for col, source in enumerate(sources):
+        cells[:, col, :-1] = floats[:, source]
+    # a magnitude cell has an empty sign byte, which takes the term's sign
+    cells[:, :dim, 0] = np.signbit(terms) & ~np.isnan(terms)
+    cells[:, :dim, 0] *= ord("-")
+    cells[:, dim:, :-1] = floats[:, len(unique):]
+    cells[:, :-1, -1] = ord(",")
+    for (first, stop, _, _), suffix in zip(job.runs, suffixes):
+        matrix[first:stop, end:end + len(suffix)] = np.frombuffer(
+            suffix, dtype=np.uint8)
+    text = matrix.tobytes().translate(None, b"\0").decode("ascii")
+    return text.splitlines(keepends=True)
 
 
 class _Trace:
@@ -322,87 +331,10 @@ def trace_rows(fam: FamilyVector, injection: Sequence[int], dim: int,
     total carried from chunk to chunk, so their bits do not depend on
     how the rows are consumed.  :func:`emit_trace` and
     :func:`write_trace` write only this object, as formatting jobs of
-    ``2**10`` rows, which is what lets long traces be formatted in
-    parallel; iterating it first changes nothing they write.
+    ``2**11`` rows whose text is built a column at a time; iterating it
+    first changes nothing they write.
     """
     return _Trace(fam, injection, dim, chain)
-
-
-def _format_worker(conn, inherited) -> None:
-    """Forked worker: send back the lines of each job received, until the
-    parent closes its end of the pipe."""
-    # an interrupt reaches the whole process group; the parent handles it
-    # and stops the workers
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for other in inherited:
-        # the parent's pipe ends, copied by the fork: closed so that each
-        # worker sees the end of input once the parent closes its own
-        other.close()
-    try:
-        while True:
-            conn.send(_format_job(conn.recv()))
-    except EOFError:
-        pass
-
-
-def _emit_pooled(jobs: Iterator[_TraceJob], out: IO[str],
-                 workers: int) -> None:
-    """Format jobs in forked workers and write their lines in job order.
-
-    The main thread hands jobs out round-robin with at most one in flight
-    per worker, so results come back in job order, and computes the next
-    job's sums while the workers format.  There is deliberately no
-    ``multiprocessing.Pool``: its result thread unpickles the text in a
-    malloc arena of its own, and with it the parent's peak RSS grew with
-    every repeated trace.  A worker that dies makes ``recv`` raise
-    ``EOFError``; on any error the workers are terminated.
-    """
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    conns: list = []
-    procs: list = []
-    try:
-        for _ in range(workers):
-            here, there = context.Pipe()
-            proc = context.Process(target=_format_worker,
-                                   args=(there, (*conns, here)),
-                                   daemon=True)
-            proc.start()
-            there.close()
-            conns.append(here)
-            procs.append(proc)
-        busy = collections.deque()
-        for conn, job in zip(conns, jobs):
-            conn.send(job)
-            busy.append(conn)
-        while busy:
-            conn = busy.popleft()
-            lines = conn.recv()
-            job = next(jobs, None)
-            if job is not None:
-                conn.send(job)
-                busy.append(conn)
-            for line in lines:
-                out.write(line)
-    except BaseException:
-        for proc in procs:
-            proc.terminate()
-        raise
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.join()
-
-
-def _daemonic() -> bool:
-    """Whether this is a daemonic ``multiprocessing`` process, which may
-    not start processes of its own.  Such a process has imported
-    ``multiprocessing``, so this check does not import it."""
-    multiprocessing = sys.modules.get("multiprocessing")
-    return (multiprocessing is not None
-            and multiprocessing.current_process().daemon)
 
 
 def _check_trace(rows: object) -> None:
@@ -415,27 +347,17 @@ def emit_trace(rows: _Trace, out: IO[str]) -> None:
     """Write a trace as CSV with repr floats, one ``out.write`` per row.
 
     ``rows`` must be what :func:`trace_rows` returns; anything else raises
-    ``TypeError``.  Its rows are formatted job by job, under the header of
-    the trace's dimension even when it has no rows.  When the trace spans
-    at least two ``2**16``-step chunks, this process may run on two or
-    more CPUs and it is not a daemonic ``multiprocessing`` process (which
-    may not have children), the jobs go to ``min(cpus, jobs)`` forked
-    worker processes; otherwise they are formatted inline.  The sums are
-    computed in this process either way and the lines are written in step
-    order, so the bytes do not depend on the path or the CPU count.
+    ``TypeError``.  Its rows are formatted job by job in this process,
+    under the header of the trace's dimension even when it has no rows,
+    and written in step order.  A write per row, not per job, keeps a
+    sink that buffers a fixed number of writes as small as it was.
     """
     _check_trace(rows)
-    out.write(_header(rows.dim, rows.annotated))
-    jobs = rows._jobs()
-    cpus = (len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else 1)
-    workers = min(cpus, -(-rows.length // _JOB_ROWS))
-    if rows.length > _TRACE_CHUNK and workers >= 2 and not _daemonic():
-        _emit_pooled(jobs, out, workers)
-        return
-    for job in jobs:
+    write = out.write
+    write(_header(rows.dim, rows.annotated))
+    for job in rows._jobs():
         for line in _format_job(job):
-            out.write(line)
+            write(line)
 
 
 def write_trace(path: str, rows: _Trace) -> None:

@@ -254,6 +254,14 @@ def k_space_basis(fam: FamilyVector, dim: int | None = None,
     basis vector and every coordinate direction, and a conclusive
     conflict raises DisagreementError.
     """
+    return k_space_growth(fam, dim, truncation)[0]
+
+
+def k_space_growth(fam: FamilyVector, dim: int | None = None,
+                   truncation: int = DEFAULT_TRUNCATION
+                   ) -> tuple[list[CoefficientVector], list[GrowthStats]]:
+    """:func:`k_space_basis` and the growth statistics of the ``dim``
+    coordinate directions that its cross-check computes, in order."""
     dim = len(fam) if dim is None else dim
     if not 1 <= dim <= len(fam):
         raise InputError(f"dimension {dim} outside the family")
@@ -268,6 +276,7 @@ def k_space_basis(fam: FamilyVector, dim: int | None = None,
             raise DisagreementError(
                 f"declared kernel vector {cv.values} tests divergent "
                 f"(abs sum {stats.abs_sum:.6g} at N={truncation})")
+    growth = []
     for i in range(dim):
         # a unit vector lies in the kernel exactly when its series has no
         # pattern components
@@ -283,7 +292,8 @@ def k_space_basis(fam: FamilyVector, dim: int | None = None,
             raise DisagreementError(
                 f"series {i} is declared conditionally convergent but its "
                 f"absolute sums test bounded")
-    return basis
+        growth.append(stats)
+    return basis, growth
 
 
 def r_space(k_basis: Sequence[CoefficientVector], dim: int) -> list[np.ndarray]:

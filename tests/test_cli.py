@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from sumchase import subspace
 from sumchase.cli import main
-from sumchase.fileio import parse_certificate
+from sumchase.fileio import parse_certificate, parse_spec_file
 from conftest import (ALT_HARMONIC_ENTRY, RAD_PAIR_ENTRIES, write_family_file)
 
 TRIPLE_ENTRIES = RAD_PAIR_ENTRIES + [
@@ -372,6 +373,36 @@ def test_analyze_reports_structure(tmp_path, capsys):
     assert "kernel dimension: 1" in text
     assert "independent set: 0,1" in text
     assert "dependent 2:" in text
+
+
+def test_analyze_measures_each_direction_once(tmp_path, capsys,
+                                              monkeypatch):
+    # the kernel cross-check already measures every unit direction, and
+    # the report's growth lines reuse those measurements
+    spec = write_family_file(tmp_path / "triple.json", [TRIPLE_ENTRIES])
+    fam = parse_spec_file(spec)[0]
+    expected = [
+        f"growth {i}: abs_sum={stats.abs_sum!r} ratio={stats.ratio!r} "
+        f"verdict={stats.verdict()}"
+        for i, stats in enumerate(
+            subspace.growth_statistics(fam, [float(i == j) for j in range(3)])
+            for i in range(3))]
+    # every growth_statistics call, however it is imported, ends in one
+    # GrowthStats
+    made = []
+    growth_stats = subspace.GrowthStats
+
+    def counting(*args):
+        made.append(args)
+        return growth_stats(*args)
+
+    monkeypatch.setattr(subspace, "GrowthStats", counting)
+    assert main(["analyze", "--spec", spec]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "kernel dimension: 1" in lines
+    assert lines[-3:] == expected
+    # one kernel vector and three unit directions
+    assert len(made) == 1 + 3
 
 
 def test_schedule_env_overrides_the_constants(vectors_file, tmp_path, capsys,

@@ -2,8 +2,8 @@
 import hashlib
 import io
 import json
-import multiprocessing
-import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -253,7 +253,7 @@ def long_trace():
     the reference CSV of its plain and annotated trace.
 
     Conditions end at steps 0, 40 000 and 100 000, each inside a
-    2**10-row formatting job, and the trace runs past the chain.  Chunks
+    formatting job, and the trace runs past the chain.  Chunks
     start at step 0, so the trace of a prefix of the order is a prefix of
     the reference.
     """
@@ -269,29 +269,19 @@ def long_trace():
     return fam, order, chain, expected
 
 
-def _pin_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(fileio.os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)))
-
-
-@pytest.mark.parametrize("length, annotated, cpus", [
-    (150_005, True, 3), (150_005, False, 2),
-    (131_072, True, 2), (131_072, False, 3),
-    (150_005, True, 1), (150_005, False, 1),
-], ids=["three-chunks-annotated-3cpu", "three-chunks-plain-2cpu",
-        "two-chunks-exact-annotated-2cpu", "two-chunks-exact-plain-3cpu",
-        "inline-annotated", "inline-plain"])
-def test_long_traces_keep_their_bytes_in_workers_and_inline(
-        long_trace, monkeypatch, tmp_path, length, annotated, cpus):
+@pytest.mark.parametrize("length, annotated", [
+    (150_005, True), (150_005, False), (131_072, True), (131_072, False),
+], ids=["three-chunks-annotated", "three-chunks-plain",
+        "two-chunks-exact-annotated", "two-chunks-exact-plain"])
+def test_long_traces_keep_their_bytes(long_trace, monkeypatch, tmp_path,
+                                      length, annotated):
     fam, order, chain, expected = long_trace
     order = order[:length]
-    _pin_cpus(monkeypatch, cpus)
-    formatted_here = []
+    formatted = []
     format_job = fileio._format_job
 
     def counting(job):
-        # a forked worker appends to its own copy of the list
-        formatted_here.append(job.start)
+        formatted.append(job.start)
         return format_job(job)
 
     monkeypatch.setattr(fileio, "_format_job", counting)
@@ -300,65 +290,21 @@ def test_long_traces_keep_their_bytes_in_workers_and_inline(
                                       chain if annotated else None))
     lines = expected[annotated].splitlines(keepends=True)
     assert path.read_bytes() == b"".join(lines[:length + 1])
-    # the workers format every job in the pooled case, this process
-    # every job in the inline case
-    jobs = -(-length // fileio._JOB_ROWS)
-    assert len(formatted_here) == (jobs if cpus == 1 else 0)
-    assert multiprocessing.active_children() == []
+    # this process formats every job, in step order
+    assert formatted == list(range(0, length, fileio._JOB_ROWS))
 
 
-def test_a_daemonic_process_formats_long_traces_inline(long_trace,
-                                                       monkeypatch, tmp_path):
-    # a daemonic process may not start the trace's workers
-    fam, order, chain, expected = long_trace
-    _pin_cpus(monkeypatch, 2)
-    path = tmp_path / "trace.csv"
-    proc = multiprocessing.get_context("fork").Process(
-        target=write_trace,
-        args=(str(path), trace_rows(fam, order, 2, chain)), daemon=True)
-    proc.start()
-    proc.join(timeout=120)
-    if proc.is_alive():
-        proc.kill()
-        proc.join()
-    assert proc.exitcode == 0
-    assert path.read_bytes() == expected[True]
-    assert multiprocessing.active_children() == []
-
-
-class _FailingSink:
-    def __init__(self, after):
-        self.left = after
-
-    def write(self, text):
-        self.left -= 1
-        if self.left < 0:
-            raise RuntimeError("sink full")
-        return len(text)
-
-
-def test_a_failing_sink_stops_the_workers(long_trace, monkeypatch):
-    fam, order, chain, _ = long_trace
-    _pin_cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="sink full"):
-        emit_trace(trace_rows(fam, order, 2, chain), _FailingSink(10_000))
-    assert multiprocessing.active_children() == []
-
-
-def test_a_worker_that_exits_early_is_an_error(long_trace, monkeypatch):
-    fam, order, chain, _ = long_trace
-    _pin_cpus(monkeypatch, 2)
-    parent = os.getpid()
-
-    def exit_at_once(job):
-        if os.getpid() == parent:
-            raise AssertionError("a pooled trace was formatted inline")
-        os._exit(3)
-
-    monkeypatch.setattr(fileio, "_format_job", exit_at_once)
-    with pytest.raises(EOFError):
-        emit_trace(trace_rows(fam, order, 2, chain), io.StringIO())
-    assert multiprocessing.active_children() == []
+def test_traces_start_no_other_process():
+    # a trace past one 2**16-step chunk, which the old pool would have
+    # formatted in workers, is written without importing multiprocessing
+    code = ("import sys, io; from sumchase import family, "
+            "rademacher_harmonic, trace_rows; from sumchase.fileio import "
+            "emit_trace; fam = family(rademacher_harmonic(0)); "
+            "emit_trace(trace_rows(fam, range(70_000), 1), io.StringIO()); "
+            "print('multiprocessing' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_certificate_roundtrip_preserves_everything(small_chain, tmp_path):
