@@ -15,7 +15,7 @@ each rounded to odd, and a choice among four candidate decimals.  The
 products are built from 30-bit limbs held in uint64.  The result is the
 shortest decimal inside the rounding interval and, of those, the one
 closest to the float, ties to even; Python's ``repr`` (Gay's ``dtoa`` in
-its shortest mode) picks the same one.  Zero, the infinities, NaN and
+its shortest mode) picks the same one.  The infinities, NaN and
 subnormals go to ``repr`` one value at a time.
 
 The text follows ``float.__repr__``: ``-`` for a set sign bit (but not
@@ -285,9 +285,12 @@ def float_cells(values: np.ndarray) -> np.ndarray:
     tables = _get_tables()
     flat = np.ravel(values)
     x = np.abs(flat)
-    # zero, infinity, NaN and subnormals go to repr; 1.0 stands in
-    fallback = np.flatnonzero(~((x >= _SMALLEST_NORMAL) & (x <= _LARGEST)))
-    x[fallback] = 1.0
+    # 1.0 stands in for zero, infinity, NaN and subnormals; zero then
+    # reads 0.0, and the others go to repr
+    stand_in = np.flatnonzero(~((x >= _SMALLEST_NORMAL) & (x <= _LARGEST)))
+    zero = stand_in[x[stand_in] == 0]
+    fallback = stand_in[x[stand_in] != 0]
+    x[stand_in] = 1.0
     digits, k = _shortest(x)
     # exactly 17 digits: an 18-digit result ends in a zero
     short = digits < _U(10 ** 16)
@@ -315,6 +318,7 @@ def float_cells(values: np.ndarray) -> np.ndarray:
     # the point after the first digit, which exponent notation writes
     # only before a second digit
     cells[:, 7] *= cells[:, 8] != 0
+    cells[zero, 6] = ord("0")
     negative = np.signbit(flat) & ~np.isnan(flat)
     np.multiply(negative, ord("-"), out=cells[:, 0], casting="unsafe")
     for pos in fallback.tolist():

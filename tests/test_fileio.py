@@ -247,6 +247,20 @@ def test_format_job_writes_the_row_format(annotated):
     assert fileio._format_job(job) == expected
 
 
+def test_trace_bytes_with_wide_and_zero_values(tmp_path):
+    # 12345 * a0 has up to five digits before the point, and a combination
+    # that cancels writes zero terms and zero sums
+    level1 = rademacher_harmonic(1)
+    fam = family(composite([(12345.0, rademacher_harmonic(0))]),
+                 composite([(1.0, level1), (-1.0, level1)]))
+    order = np.random.default_rng(3).permutation(5_000)[:3_000].tolist()
+    path = tmp_path / "trace.csv"
+    write_trace(str(path), trace_rows(fam, order, 2))
+    expected = _reference_trace(fam, order, 2)
+    assert ",0.0," in expected and ",5022.875144781435," in expected
+    assert path.read_bytes() == expected.encode()
+
+
 @pytest.fixture(scope="module")
 def long_trace():
     """A 150 005-step order over a two-series family, a chain over it and
