@@ -283,14 +283,22 @@ def long_trace():
     return fam, order, chain, expected
 
 
-@pytest.mark.parametrize("length, annotated", [
-    (150_005, True), (150_005, False), (131_072, True), (131_072, False),
-], ids=["three-chunks-annotated", "three-chunks-plain",
-        "two-chunks-exact-annotated", "two-chunks-exact-plain"])
-def test_long_traces_keep_their_bytes(long_trace, monkeypatch, tmp_path,
-                                      length, annotated):
+@pytest.mark.parametrize("length, annotated, cpus", [
+    (150_005, True, 3), (150_005, False, 2),
+    (131_072, True, 2), (131_072, False, 3),
+    (150_005, True, 1), (150_005, False, 1),
+], ids=["three-chunks-annotated-3cpu", "three-chunks-plain-2cpu",
+        "two-chunks-exact-annotated-2cpu", "two-chunks-exact-plain-3cpu",
+        "inline-annotated", "inline-plain"])
+def test_long_traces_keep_their_bytes_in_workers_and_inline(
+        long_trace, monkeypatch, tmp_path, length, annotated, cpus):
+    # however many CPUs the process may run on, the trace is formatted
+    # inline: the CPU count no longer sends jobs to workers
     fam, order, chain, expected = long_trace
     order = order[:length]
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
     formatted = []
     format_job = fileio._format_job
 
