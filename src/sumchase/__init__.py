@@ -29,8 +29,8 @@ from .rearrange import (PrefixPlan, UsedIndices, chase_target,
                         verify_prefix)
 from .series import (FamilyVector, SeriesSpec, abs_power, classical_sum,
                      composite, family, is_conditionally_convergent,
-                     partial_sum, partial_sum_vector, power_alternating,
-                     rademacher_harmonic, tail_sup_bound, term, vector_term)
+                     partial_sum_vector, power_alternating,
+                     rademacher_harmonic, tail_sup_bound, term)
 from .subspace import (AffineSumRange, CoefficientVector,
                        DependencyStructure, dependency_decompose,
                        growth_statistics, k_space_basis, membership_check,
@@ -52,11 +52,10 @@ __all__ = [
     "growth_statistics", "initial_condition", "is_condition",
     "is_conditionally_convergent", "k_space_basis", "leq",
     "membership_check", "order_with_threshold", "parse_certificate",
-    "parse_spec_file", "partial_sum", "partial_sum_vector",
-    "plan_from_injection", "power_alternating", "predicted_dependent_limit",
-    "prefix_norms", "published_constant", "r_space", "rademacher_harmonic",
+    "parse_spec_file", "partial_sum_vector", "plan_from_injection",
+    "power_alternating", "predicted_dependent_limit", "prefix_norms",
+    "published_constant", "r_space", "rademacher_harmonic",
     "riemann_rearrange", "run", "select_block_indices", "sum_range",
-    "tail_sup_bound", "term", "trace_rows", "vector_term",
-    "verify_certificate", "verify_prefix", "write_certificate",
-    "write_trace",
+    "tail_sup_bound", "term", "trace_rows", "verify_certificate",
+    "verify_prefix", "write_certificate", "write_trace",
 ]

@@ -45,7 +45,7 @@ from .errors import (BudgetExhaustedError, InfeasibleEtaError, InputError,
 from .rearrange import (UsedIndices, _as_target, block_statistics,
                         lane_modulus, missing_below, order_block_lanes,
                         select_block_indices, widest_lane_dim)
-from .series import (FamilyVector, index_problems, index_vector,
+from .series import (FamilyVector, _InjectionRecord, index_problems,
                      partial_sum_vector, tail_sup_bound, vector_terms)
 
 #: Margin subtracted from every strict certified comparison, absorbing
@@ -76,7 +76,7 @@ def certified_le(value: float, extra: Fraction, bound: Fraction) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class Condition:
+class Condition(_InjectionRecord):
     """Injection prefix, active dimension count, exact tolerance.
 
     ``injection`` is held as a read-only int64 array (``index_vector``);
@@ -85,27 +85,17 @@ class Condition:
     are equal when their injections, dimensions and tolerances are.
     """
 
-    injection: np.ndarray
     dim: int
     eps: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "injection", index_vector(self.injection))
+        super().__post_init__()
         if not isinstance(self.dim, int) or self.dim < 1:
             raise InputError(f"dimension must be a positive int, got {self.dim!r}")
         eps = Fraction(self.eps)
         if eps <= 0:
             raise InputError(f"tolerance must be positive, got {eps}")
         object.__setattr__(self, "eps", eps)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Condition):
-            return NotImplemented
-        return (self.dim == other.dim and self.eps == other.eps
-                and np.array_equal(self.injection, other.injection))
-
-    def __hash__(self) -> int:
-        return hash((self.injection.tobytes(), self.dim, self.eps))
 
 
 @dataclass(frozen=True)
@@ -138,12 +128,12 @@ class ConditionReport:
 
 
 def is_condition(cond: Condition, fam: FamilyVector, targets,
-                 cutoff: int | None = None,
                  schedule: ConstantSchedule | None = None) -> ConditionReport:
     """Check the five defining requirements, returning per-bullet evidence.
 
-    The unused-term requirement is discharged exactly below ``cutoff``
-    (default ``len(injection) + 10_000``) and by the tail envelope above.
+    The unused-term requirement is discharged exactly below the cutoff
+    ``len(injection) + TAIL_CUTOFF_SPAN``, the certificate checker's, and
+    by the tail envelope above.
     """
     schedule = schedule or DEFAULT_SCHEDULE
     targets_t = _as_target(targets)
@@ -165,7 +155,7 @@ def is_condition(cond: Condition, fam: FamilyVector, targets,
     deviation = float(np.linalg.norm(sums - targets_t[:d]))
     bullets.append(BulletCheck("deviation", certified_lt(deviation, cond.eps),
                                deviation, float(cond.eps)))
-    cutoff = len(inj) + TAIL_CUTOFF_SPAN if cutoff is None else int(cutoff)
+    cutoff = len(inj) + TAIL_CUTOFF_SPAN
     ceiling = cond.eps / Fraction(schedule.value_at(d))
     unused = missing_below(used, cutoff)
     below_max = float(np.linalg.norm(vector_terms(fam, unused, d),

@@ -332,8 +332,11 @@ def trace_rows(fam: FamilyVector, injection: Sequence[int], dim: int,
     how the rows are consumed.  :func:`emit_trace` and
     :func:`write_trace` write only this object, as formatting jobs of
     ``2**11`` rows whose text is built a column at a time; iterating it
-    first changes nothing they write.
+    first changes nothing they write.  ``dim`` must lie between 1 and
+    ``len(fam)``; any other value is an InputError.
     """
+    if not 1 <= dim <= len(fam):
+        raise InputError(f"trace dimension {dim} outside 1..{len(fam)}")
     return _Trace(fam, injection, dim, chain)
 
 

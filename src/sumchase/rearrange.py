@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import (BudgetExhaustedError, InputError, PreconditionError,
                      StructureError)
-from .series import (FamilyVector, SeriesSpec, index_problems, index_vector,
+from .series import (FamilyVector, SeriesSpec, _InjectionRecord,
+                     index_problems, index_vector,
                      is_conditionally_convergent, partial_sum_vector,
                      magnitude_array, reduce_spec, term_array, vector_terms)
 
@@ -61,7 +62,7 @@ def _as_target(target) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PrefixPlan:
+class PrefixPlan(_InjectionRecord):
     """A finite injection prefix plus recomputable summary statistics.
 
     ``injection`` is a read-only int64 array, held as a condition holds
@@ -69,33 +70,16 @@ class PrefixPlan:
     the plan was built against, in the dimensions active at build time;
     ``max_excursion`` is the largest norm any running partial-sum vector
     reached.  verify_prefix recomputes both from the injection alone, and
-    ``used_set``, the injection's range, is built on every access.
+    ``used_set``, the injection's range, is built on every access.  Two
+    plans are equal when their injections and statistics are.
     """
 
-    injection: np.ndarray
     deviation: float
     max_excursion: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "injection", index_vector(self.injection))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PrefixPlan):
-            return NotImplemented
-        return (self.deviation == other.deviation
-                and self.max_excursion == other.max_excursion
-                and np.array_equal(self.injection, other.injection))
-
-    def __hash__(self) -> int:
-        return hash((self.injection.tobytes(), self.deviation,
-                     self.max_excursion))
 
     @property
     def used_set(self) -> frozenset[int]:
         return frozenset(self.injection.tolist())
-
-    def __len__(self) -> int:
-        return len(self.injection)
 
     def extends(self, other: "PrefixPlan") -> bool:
         return np.array_equal(self.injection[:len(other.injection)],
@@ -227,7 +211,18 @@ class _LaneStructure:
     lane_residues: tuple[tuple[int, ...], ...]
 
 
+#: The widest residue period a lane structure enumerates is
+#: ``2**_LANE_PERIOD_BITS``.  Sorting ``2**20`` residues into lanes takes
+#: most of a second, each level more doubles that, and a chase rebuilds
+#: its lanes every round.
+_LANE_PERIOD_BITS = 20
+
+
 def _lane_structure(fam: FamilyVector, dim: int) -> _LaneStructure | None:
+    """The residue lanes of the first ``dim`` series, or None when they
+    do not form a dyadic family (one sign-pattern component each, a
+    common exponent, distinct levels).  Raises StructureError when the
+    deepest level needs a period above ``2**_LANE_PERIOD_BITS``."""
     levels: list[int] = []
     coeffs: list[float] = []
     exponent: float | None = None
@@ -244,7 +239,12 @@ def _lane_structure(fam: FamilyVector, dim: int) -> _LaneStructure | None:
         coeffs.append(coeff)
     if exponent is None or len(set(levels)) != len(levels):
         return None
-    modulus = 1 << (max(levels) + 1)
+    deepest = max(levels)
+    if deepest + 1 > _LANE_PERIOD_BITS:
+        raise StructureError(
+            f"sign level {deepest} needs a residue period of "
+            f"2**{deepest + 1}, above the limit of 2**{_LANE_PERIOD_BITS}")
+    modulus = 1 << (deepest + 1)
     lanes: dict[tuple[int, ...], list[int]] = {}
     for r in range(modulus):
         sig = tuple(1 if not (r >> lv) & 1 else -1 for lv in levels)
@@ -526,17 +526,22 @@ def select_block_indices(fam: FamilyVector, dim: int, residual: np.ndarray,
 
 def lane_modulus(fam: FamilyVector, dim: int) -> int | None:
     """Residue period separating the sign patterns of the leading series,
-    or None when they do not form a dyadic family."""
+    or None when they do not form a dyadic family; StructureError when
+    the period is above the limit."""
     struct = _lane_structure(fam, dim)
     return None if struct is None else struct.modulus
 
 
 def widest_lane_dim(fam: FamilyVector, lo: int, hi: int) -> int | None:
     """Largest dimension in [lo, hi] whose leading series form a dyadic
-    sign-pattern family, or None if even ``lo`` does not."""
+    sign-pattern family with a period within the limit, or None if even
+    ``lo`` does not."""
     for dim in range(hi, lo - 1, -1):
-        if _lane_structure(fam, dim) is not None:
-            return dim
+        try:
+            if _lane_structure(fam, dim) is not None:
+                return dim
+        except StructureError:
+            continue
     return None
 
 
@@ -623,10 +628,10 @@ def order_block(fam: FamilyVector, indices: Sequence[int],
 
 
 def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
-                 eps: float, seed: int = 0, budget: int = 10 ** 6,
-                 dim: int | None = None) -> PrefixPlan:
-    """Extend ``base`` until the d-dimensional partial sum is within ``eps``
-    of ``target``.
+                 eps: float, seed: int = 0,
+                 budget: int = 10 ** 6) -> PrefixPlan:
+    """Extend ``base`` until the partial sums of the first ``len(target)``
+    series are within ``eps`` of ``target``.
 
     Rounds of select-order-append, with lane-mass jitter on stalls; each
     block is ordered by order_block.  ``eps`` must be finite and positive
@@ -635,18 +640,15 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
     the budget or round limit runs out.
     """
     goal = _as_target(target)
-    dim = len(goal) if dim is None else dim
-    if not 1 <= dim <= len(fam):
-        raise InputError(f"active dimension {dim} outside the family")
-    if len(goal) < dim:
-        raise InputError("target shorter than the active dimension")
+    dim = len(goal)
+    if dim > len(fam):
+        raise InputError(f"{dim} targets for a family of {len(fam)} series")
     _check_eps_budget(eps, budget)
     injection = index_vector(() if base is None else base.injection)
     taken, problems = index_problems(injection)
     if "duplicate" in problems:
         raise PreconditionError("base plan has duplicate indices")
     rng = random.Random(seed)
-    goal = goal[:dim]
     lanes_ok = _lane_structure(fam, dim) is not None
     if not lanes_ok and dim > 1:
         raise StructureError(
@@ -694,8 +696,8 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
         best=plan_from_injection(fam, injection[:best_len], goal, dim))
 
 
-def cover_indices(fam: FamilyVector, plan: PrefixPlan, n: int, target,
-                  dim: int | None = None) -> PrefixPlan:
+def cover_indices(fam: FamilyVector, plan: PrefixPlan, n: int,
+                  target) -> PrefixPlan:
     """Extend the plan so every index below ``n`` appears in its range.
 
     The missing indices are appended in order_block's order.  For
@@ -704,9 +706,11 @@ def cover_indices(fam: FamilyVector, plan: PrefixPlan, n: int, target,
     covered sum; other families get one lane, ascending index order, and
     no such bound.  The deviation of the result is whatever the covering
     forces it to be; chase the target again afterwards if it matters.
+    The plan's statistics are measured over the first ``len(target)``
+    series.
     """
     goal = _as_target(target)
-    dim = len(goal) if dim is None else dim
+    dim = len(goal)
     if n < 0:
         raise InputError("cover bound must be nonnegative")
     missing = missing_below(plan.injection, n)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
@@ -249,11 +249,6 @@ def family(*specs: SeriesSpec) -> FamilyVector:
     return FamilyVector(tuple(specs))
 
 
-def vector_term(fam: FamilyVector, m: int, d: int | None = None) -> np.ndarray:
-    """The d-dimensional term vector ``(a^0_m, ..., a^{d-1}_m)``."""
-    return vector_terms(fam, [m], d)[0]
-
-
 def vector_terms(fam: FamilyVector, ms: Sequence[int],
                  d: int | None = None) -> np.ndarray:
     """Rows of term vectors for each index in ``ms`` (shape ``len(ms) x d``)."""
@@ -313,6 +308,31 @@ def index_vector(injection: Sequence[int]) -> np.ndarray:
     return injection
 
 
+@dataclass(frozen=True, eq=False)
+class _InjectionRecord:
+    """An injection held as :func:`index_vector` holds it, plus the fields
+    a subclass declares after it.  Two records of one class are equal
+    when their other fields are and their injections hold the same
+    entries; equal records hash alike."""
+
+    injection: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "injection", index_vector(self.injection))
+
+    def _others(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self)[1:])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (all(a == b for a, b in zip(self._others(), other._others()))
+                and np.array_equal(self.injection, other.injection))
+
+    def __hash__(self) -> int:
+        return hash((self.injection.tobytes(), *self._others()))
+
+
 def _check_indices(indices: Sequence[int]) -> np.ndarray:
     ms, problems = index_problems(indices)
     if problems:
@@ -334,18 +354,14 @@ def _fsum(values: np.ndarray) -> float:
         for start in range(0, len(values), _FSUM_CHUNK)))
 
 
-def partial_sum(spec: SeriesSpec, indices: Sequence[int]) -> float:
-    """Exactly rounded sum of the terms at the given distinct indices.
-
-    Uses compensated summation, so the value does not depend on the order
-    in which indices are listed.
-    """
-    return _fsum(term_array(spec, _check_indices(indices)))
-
-
 def partial_sum_vector(fam: FamilyVector, indices: Sequence[int],
                        d: int | None = None) -> np.ndarray:
-    """Coordinatewise :func:`partial_sum` over the first ``d`` series."""
+    """Exactly rounded sums of the terms at the given distinct indices,
+    one per series over the first ``d`` series.
+
+    Uses compensated summation, so the values do not depend on the order
+    in which indices are listed.
+    """
     d = len(fam) if d is None else d
     ms = _check_indices(indices)
     return np.array([_fsum(term_array(spec, ms)) for spec in fam.specs[:d]])

@@ -163,6 +163,25 @@ def test_rearrange_on_a_wide_lane_modulus(tmp_path, capsys):
     assert captured.out.startswith("length=")
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("rearrange", ["--eps", "0.01"]),
+    ("extend-run", ["--rounds", "1", "--cert", "deep.cert"])],
+    ids=["rearrange", "extend-run"])
+def test_a_sign_level_too_deep_for_lanes_is_bad_input(tmp_path, capsys,
+                                                      monkeypatch, command,
+                                                      extra):
+    # a level-24 pattern would need 2**25 residues sorted into lanes
+    monkeypatch.chdir(tmp_path)
+    spec = write_family_file(tmp_path / "deep.json", [[
+        {"kind": "rademacher_harmonic", "level": 0},
+        {"kind": "rademacher_harmonic", "level": 24}]])
+    code = main([command, "--spec", spec, "--targets", "0.1,0.2"] + extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "sign level 24" in err and "2**20" in err
+    assert not (tmp_path / "deep.cert").exists()
+
+
 def test_rearrange_refuses_absolutely_convergent_specs(tmp_path, capsys):
     spec = write_family_file(tmp_path / "abs.json",
                              [[{"kind": "abs_power", "exponent": 2.0}]])

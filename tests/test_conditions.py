@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from sumchase import (BudgetExhaustedError, Condition, InputError,
-                      PreconditionError, certified_le, certified_lt,
-                      composite, extend, extend_detail, family,
-                      initial_condition, is_condition, leq,
-                      plan_from_injection, rademacher_harmonic, run)
+                      PreconditionError, PrefixPlan, StructureError,
+                      certified_le, certified_lt, composite, extend,
+                      extend_detail, family, initial_condition, is_condition,
+                      leq, plan_from_injection, rademacher_harmonic, run)
 from sumchase import conditions
 from sumchase.certcheck import verify_data
 from sumchase.conditions import TAIL_CUTOFF_SPAN
@@ -85,6 +85,8 @@ def test_condition_injection_is_a_read_only_int64_array():
     assert cond != Condition((3, 1), 1, Fraction(1, 3))
     assert cond != Condition((3, 1), 2, Fraction(1, 4))
     assert len({cond, copied, Condition((1, 3), 2, Fraction(1, 3))}) == 2
+    # a plan with the same field values is another kind of record
+    assert cond != PrefixPlan(cond.injection, cond.dim, cond.eps)
 
 
 def test_condition_check_flags_excessive_deviation():
@@ -102,20 +104,16 @@ def test_condition_check_flags_thin_tails():
     assert not report.bullet("tail-small").ok
 
 
-@pytest.mark.parametrize("injection,cutoff", [
-    ((0, 2, 5, 40, 7, 10_050), 10),
-    (tuple(range(0, 30, 2)), 6),
-    ((3, 1, 4), 0),
-    ((), None),
-    ((), 25),
-    ((9, 10_003, 10_001, 2), None),
-], ids=["indices-past-cutoff", "cutoff-below-length", "zero-cutoff",
-        "empty-default-cutoff", "empty", "default-cutoff"])
-def test_tail_small_bullet_matches_a_brute_force(injection, cutoff):
+@pytest.mark.parametrize("injection", [
+    (0, 2, 5, 40, 7, 10_050),
+    (),
+    (9, 10_003, 10_001, 2),
+], ids=["indices-past-cutoff", "empty-default-cutoff", "default-cutoff"])
+def test_tail_small_bullet_matches_a_brute_force(injection):
     d = 2
     cond = Condition(injection, d, Fraction(1, 100))
-    report = is_condition(cond, PAIR, TARGETS, cutoff=cutoff)
-    cut = len(injection) + TAIL_CUTOFF_SPAN if cutoff is None else cutoff
+    report = is_condition(cond, PAIR, TARGETS)
+    cut = len(injection) + TAIL_CUTOFF_SPAN
     unused = sorted(set(range(cut)) - set(injection))
     below = 0.0
     if unused:
@@ -277,6 +275,17 @@ def test_chain_deviation_lands_inside_the_final_tolerance(small_chain):
 def test_negative_budgets_are_bad_input(call, budget):
     with pytest.raises(InputError, match="budget must be nonnegative"):
         call(budget)
+
+
+def test_a_chain_runs_while_a_series_too_deep_for_lanes_stays_inactive():
+    deep = family(rademacher_harmonic(0), rademacher_harmonic(1),
+                  rademacher_harmonic(24))
+    targets = TARGETS + (0.3,)
+    chain, _ = run(deep, targets, 1, budget=10 ** 6)
+    pair_chain, _ = run(PAIR, TARGETS, 1, budget=10 ** 6)
+    assert chain.conditions == pair_chain.conditions
+    with pytest.raises(StructureError, match="sign level 24"):
+        run(deep, targets, 2, budget=10 ** 6)
 
 
 def test_run_validates_round_counts():

@@ -138,6 +138,22 @@ def test_empty_trace_is_just_a_header():
     assert buf.getvalue() == "step,index,term_0,sum_0\n"
 
 
+@pytest.mark.parametrize("injection, dim", [
+    ((0, 1, 2), 3), ((0, 1, 2), 0), ((0, 1, 2), -1), ((), 3)],
+    ids=["past-the-family", "zero", "negative", "empty-past-the-family"])
+def test_a_trace_dimension_outside_the_family_is_refused(tmp_path,
+                                                        injection, dim):
+    fam = family(power_alternating(1.0))
+    buf = io.StringIO()
+    with pytest.raises(InputError, match="trace dimension"):
+        emit_trace(trace_rows(fam, injection, dim), buf)
+    assert buf.getvalue() == ""
+    path = tmp_path / "refused.csv"
+    with pytest.raises(InputError, match="trace dimension"):
+        write_trace(str(path), trace_rows(fam, injection, dim))
+    assert not path.exists()
+
+
 def test_trace_files_are_byte_stable(tmp_path):
     fam = family(rademacher_harmonic(0), rademacher_harmonic(1))
     injection = tuple(range(16))

@@ -9,27 +9,29 @@ from hypothesis import strategies as st
 
 from sumchase import (BudgetExhaustedError, InputError, PreconditionError,
                       PrefixPlan, abs_power, chase_target, composite,
-                      cover_indices, family, partial_sum, plan_from_injection,
-                      power_alternating, rademacher_harmonic, riemann_rearrange,
-                      term, verify_prefix)
+                      cover_indices, family, partial_sum_vector,
+                      plan_from_injection, power_alternating,
+                      rademacher_harmonic, riemann_rearrange, term,
+                      verify_prefix)
 from sumchase import rearrange
 from sumchase.errors import StructureError
 from sumchase.rearrange import (lane_modulus, order_block_lanes,
-                                select_block_indices)
+                                select_block_indices, widest_lane_dim)
 from sumchase.series import term_array, vector_terms
 
 ALT = power_alternating(1.0)
+ALT_FAM = family(ALT)
 LN2 = 0.6931471805599453
 
 
 def test_single_series_reaches_a_nearby_target():
     plan = riemann_rearrange(ALT, 0.0, 0.05)
-    assert abs(partial_sum(ALT, plan.injection) - 0.0) < 0.05
+    assert abs(partial_sum_vector(ALT_FAM, plan.injection)[0] - 0.0) < 0.05
 
 
 def test_natural_prefix_suffices_for_the_classical_sum():
     plan = riemann_rearrange(ALT, LN2, 0.01)
-    assert abs(partial_sum(ALT, plan.injection) - LN2) < 0.01
+    assert abs(partial_sum_vector(ALT_FAM, plan.injection)[0] - LN2) < 0.01
 
 
 def test_zero_target_may_return_the_empty_plan():
@@ -130,6 +132,28 @@ def test_multi_series_chase_needs_sign_pattern_structure():
     fam = family(power_alternating(1.0), abs_power(2.0))
     with pytest.raises(StructureError):
         chase_target(fam, None, (0.1, 0.1), 0.01)
+
+
+def test_chase_takes_at_most_one_target_per_series():
+    fam = family(rademacher_harmonic(0), rademacher_harmonic(1))
+    with pytest.raises(InputError, match="3 targets for a family of 2"):
+        chase_target(fam, None, (0.1, 0.2, 0.3), 0.01)
+
+
+def test_lanes_refuse_a_residue_period_above_the_limit():
+    deep = family(rademacher_harmonic(0), rademacher_harmonic(1),
+                  rademacher_harmonic(24))
+    with pytest.raises(StructureError, match="sign level 24.*2[*][*]20"):
+        lane_modulus(deep, 3)
+    with pytest.raises(StructureError, match="sign level 24"):
+        chase_target(family(rademacher_harmonic(0), rademacher_harmonic(24)),
+                     None, (0.1, 0.2), 0.01)
+    # a dimension whose period is too wide counts as not dyadic
+    assert widest_lane_dim(deep, 2, 3) == 2
+    assert widest_lane_dim(family(rademacher_harmonic(24)), 1, 1) is None
+    assert lane_modulus(deep, 2) == 4
+    # level 19 has a period of exactly 2**20, the widest one enumerated
+    assert lane_modulus(family(rademacher_harmonic(19)), 1) == 1 << 20
 
 
 def test_cover_adds_exactly_the_missing_indices():
@@ -333,7 +357,7 @@ def test_lane_ordering_contract():
 def test_single_series_contract_over_random_targets(target, seed):
     del seed  # the d=1 greedy rule is deterministic anyway
     plan = riemann_rearrange(ALT, target, 0.02, budget=10 ** 5)
-    assert abs(partial_sum(ALT, plan.injection) - target) < 0.02
+    assert abs(partial_sum_vector(ALT_FAM, plan.injection)[0] - target) < 0.02
 
 
 @settings(max_examples=10, deadline=None)
@@ -342,7 +366,7 @@ def test_single_series_contract_over_random_targets(target, seed):
 def test_pair_chase_contract_over_random_targets(x0, x1):
     fam = family(rademacher_harmonic(0), rademacher_harmonic(1))
     plan = chase_target(fam, None, (x0, x1), 0.02, seed=2)
-    sums = [partial_sum(fam[i], plan.injection) for i in range(2)]
+    sums = partial_sum_vector(fam, plan.injection)
     assert math.hypot(sums[0] - x0, sums[1] - x1) < 0.02
 
 

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from sumchase import (BudgetExhaustedError, InputError, abs_power,
                       classical_sum, composite, family,
-                      is_conditionally_convergent, partial_sum,
-                      partial_sum_vector, power_alternating,
-                      rademacher_harmonic, tail_sup_bound, term)
+                      is_conditionally_convergent, partial_sum_vector,
+                      power_alternating, rademacher_harmonic,
+                      tail_sup_bound, term)
 from sumchase.series import (magnitude_array, reduce_spec, term_array,
-                             vector_term, vector_terms)
+                             vector_terms)
 
 LN2 = 0.6931471805599453
 ZETA2 = 1.6449340668482264
@@ -158,15 +158,15 @@ def test_partial_sum_matches_fsum():
     spec = power_alternating(1.0)
     idx = list(range(4))
     expected = math.fsum(term(spec, m) for m in idx)
-    assert partial_sum(spec, idx) == expected
+    assert partial_sum_vector(family(spec), idx)[0] == expected
 
 
 def test_partial_sum_is_order_independent():
-    spec = rademacher_harmonic(1, 1.0)
+    fam = family(rademacher_harmonic(1, 1.0))
     idx = [5, 17, 2, 90, 33, 0, 64]
-    forward = partial_sum(spec, idx)
-    assert partial_sum(spec, list(reversed(idx))) == forward
-    assert partial_sum(spec, sorted(idx)) == forward
+    forward = partial_sum_vector(fam, idx)[0]
+    assert partial_sum_vector(fam, list(reversed(idx)))[0] == forward
+    assert partial_sum_vector(fam, sorted(idx))[0] == forward
 
 
 def test_partial_sum_vector_stacks_coordinates():
@@ -174,16 +174,15 @@ def test_partial_sum_vector_stacks_coordinates():
     idx = [0, 1, 2]
     vec = partial_sum_vector(fam, idx)
     assert vec.shape == (2,)
-    assert vec[0] == partial_sum(fam[0], idx)
-    assert vec[1] == partial_sum(fam[1], idx)
+    assert vec[0] == math.fsum(term(fam[0], m) for m in idx)
+    assert vec[1] == math.fsum(term(fam[1], m) for m in idx)
+    assert partial_sum_vector(fam, idx, 1).tolist() == [vec[0]]
 
 
 @pytest.mark.parametrize("indices", [[3, -1], [4, 7, 4], [3, 2 ** 63]],
                          ids=["negative", "duplicate", "out-of-range"])
 def test_partial_sums_reject_bad_indices(indices):
     fam = family(rademacher_harmonic(0), rademacher_harmonic(1))
-    with pytest.raises(InputError):
-        partial_sum(fam[0], indices)
     with pytest.raises(InputError):
         partial_sum_vector(fam, indices)
 
@@ -256,7 +255,8 @@ def test_family_tail_bound_covers_the_vector_norm():
     combined = math.hypot(tail_sup_bound(fam[0], m), tail_sup_bound(fam[1], m))
     assert tail_sup_bound(fam, m) == pytest.approx(combined, rel=1e-15)
     for k in (7, 8, 40):
-        assert np.linalg.norm(vector_term(fam, k)) <= tail_sup_bound(fam, m)
+        assert (np.linalg.norm(vector_terms(fam, [k])[0])
+                <= tail_sup_bound(fam, m))
 
 
 def test_family_tail_bound_is_at_least_the_measured_norm():
@@ -279,7 +279,7 @@ def test_family_tail_bound_is_at_least_the_measured_norm():
                max_size=60),
        st.permutations(range(3)))
 def test_partial_sum_permutation_invariance(indices, perm):
-    spec = rademacher_harmonic(1)
+    fam = family(rademacher_harmonic(1))
     ordered = sorted(indices)
     shuffled = list(ordered)
     # rotate chunks according to the drawn permutation for variety
@@ -287,7 +287,8 @@ def test_partial_sum_permutation_invariance(indices, perm):
     chunks = [shuffled[:third], shuffled[third:2 * third],
               shuffled[2 * third:]]
     rearranged = [x for p in perm for x in chunks[p]]
-    assert partial_sum(spec, rearranged) == partial_sum(spec, ordered)
+    assert (partial_sum_vector(fam, rearranged)[0]
+            == partial_sum_vector(fam, ordered)[0])
 
 
 def test_tail_bound_covers_the_term_where_libm_and_numpy_differ():
