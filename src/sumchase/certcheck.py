@@ -6,14 +6,21 @@ indices below a cutoff, and exact rational comparisons against the
 recorded tolerances.  It shares only the input parsers, the vectorized
 term evaluator ``term_array`` and the tail envelope ``tail_sup_bound``
 with the engine.  Its bookkeeping is its own: the index checks, the
-used-index mask and the sums, which it forms in its own chunked,
-compensated way (``math.fsum`` per coordinate, and block prefixes from
-short ``np.cumsum`` runs on an exactly rounded carry), so a bookkeeping
-bug in the chain builder cannot silently vouch for itself.
+used-index mask and the sums, so a bookkeeping bug in the engine that
+builds chains cannot silently vouch for itself.
 
-Recorded norms must agree with the recomputed ones to within 1e-9, and
-every inequality is re-certified with the same slack margin the builder
-used (restated here as a literal on purpose).
+The sums are exact: Python ints counting ``2**-1126``, formed from
+float64 limb running sums that never round (:func:`_exact_run`).  Each
+link's extension is checked first, and a condition that extends the one
+before adds the appended block's exact sums to that condition's, so
+every index is summed once; a condition that does not is summed from
+scratch.  Every deviation coordinate and every running-sum coordinate
+of a link block is its exact value rounded once, so within ``2**-53`` of
+it, relatively; the norms add at most one ulp per coordinate
+(:func:`_running_sums`).  That is below 2e-13 on norms under 100, far
+inside the 1e-9 that recorded norms must agree to, and
+inside the slack margin with which every inequality is re-certified,
+the engine's, restated here as a literal on purpose.
 """
 from __future__ import annotations
 
@@ -40,9 +47,14 @@ RECORD_TOLERANCE = 1e-9
 #: one by one; the monotone tail envelope covers the rest.
 TAIL_CUTOFF_SPAN = 10_000
 
-#: Terms per ``np.cumsum`` run in a prefix scan; the error bound in
-#: :func:`_running_sums` grows with it.
-_PREFIX_RUN = 4096
+#: Terms per chunk of the exact sums; each chunk's limb sums stay below
+#: ``2**42``, far inside the ``2**53`` that float64 holds exactly.
+_SUM_CHUNK = 1 << 16
+
+#: Every float64 is a whole number of ``2**-_UNIT_PLACES``: a 53-bit
+#: mantissa times ``2**(e - 53)`` with ``e >= -1073``.  The exact sums
+#: are Python ints counting that unit.
+_UNIT_PLACES = 1126
 
 #: Indices per term evaluation in the unused-index scan, which keeps
 #: memory flat on long injections.
@@ -98,45 +110,126 @@ def _largest_unused_term(fam: FamilyVector, d: int, used: np.ndarray,
     return worst
 
 
-def _running_sums(fam: FamilyVector, d: int,
-                  ms: np.ndarray) -> tuple[list[float], float]:
-    """Coordinate sums of the terms at ``ms`` and their largest prefix norm.
+def _rounded(units: int, unit: int = -_UNIT_PLACES) -> float:
+    """``units * 2**unit`` rounded once to float64 (the default unit is
+    the exact sums' ``2**-1126``), or an infinity past its range."""
+    try:
+        return units / (1 << -unit) if unit < 0 else float(units << unit)
+    except OverflowError:
+        return math.inf if units > 0 else -math.inf
 
-    The indices are cut into runs of at most ``n = _PREFIX_RUN`` terms.  A
-    run's prefixes are ``c + np.cumsum(t)``, where the carry ``c`` is the
-    sum of all earlier terms, kept as an unevaluated pair ``hi + lo`` of
-    ``math.fsum`` results: ``hi`` is the exactly rounded sum and ``lo``
-    the rounded rest, so the pair drifts from the exact sum by at most
-    ``2**-106 |c|`` per run.  With unit roundoff ``u = 2**-53`` and
-    ``g = (n + 1) u / (1 - (n + 1) u)``, each prefix coordinate is then
-    within ``u |c| + g (|c| + sum |t_j|)`` of its exact value, the sum
-    running over the run's terms.  For n = 4096, ``g < 4.6e-13``, so
-    while ``|c| + sum |t_j|`` stays below 100 the error stays below
-    5e-11, a twentieth of ``CHECK_SLACK``.  The norm adds a few ulps on
-    top.  The returned sums are the ``hi`` parts after the last run.
+
+def _exact_run(terms: np.ndarray, before: int,
+               prefixes: bool) -> tuple[np.ndarray | None, int]:
+    """``before`` (an exact sum) plus the finite float64 ``terms``,
+    exactly: the new sum, and with ``prefixes`` each running sum rounded
+    once.
+
+    The run is written in a unit ``2**u`` that divides every term and
+    ``before``, so each term is a whole number ``I`` of units, which
+    ``np.ldexp`` gives exactly.  ``I`` is cut into limbs
+    ``h * 2**52 + m * 2**26 + l`` with ``0 <= m, l < 2**26``; the running
+    sums of each limb, in float64, are exact while they stay below
+    ``2**53``.  Carrying the low limbs up leaves a running sum as
+    ``H * 2**52 + R`` with ``0 <= R < 2**52``, two floats whose one
+    rounded addition is the correctly rounded running sum.  When the
+    high limbs could reach ``2**52`` (a run spanning more than some 35
+    binades), the terms are added one by one as Python ints instead.
     """
-    hi = [0.0] * d
-    lo = [0.0] * d
+    sizes, exps = np.frexp(terms)
+    if not np.isfinite(sizes).all():
+        raise InputError("the family has a term that is not finite")
+    lowest = exps[sizes != 0.0]
+    places = min(([_UNIT_PLACES + int(lowest.min()) - 53] if lowest.size
+                  else []) + ([(before & -before).bit_length() - 1]
+                              if before else []), default=0)
+    unit = places - _UNIT_PLACES  # the run's unit is 2**unit
+    start = before >> places
+    with np.errstate(over="ignore"):  # an infinity takes the wide path
+        whole = np.ldexp(terms, -unit)
+    high = np.floor(whole * 2.0 ** -52)
+    base_high, base_rest = start >> 52, start & ((1 << 52) - 1)
+    if (abs(base_high) >= 1 << 52
+            or abs(base_high) + float(np.abs(high).sum()) >= 2.0 ** 52):
+        # wide: every term as mantissa << (exponent - 53 - unit); that is
+        # nonnegative but for zeros, whose exponent is 0
+        mants = np.ldexp(sizes, 53).astype(np.int64).tolist()
+        shifts = np.maximum(exps - 53 - unit, 0).tolist()
+        ints = [m << s for m, s in zip(mants, shifts)]
+        if not prefixes:
+            return None, (start + sum(ints)) << places
+        running = np.empty(len(ints))
+        for j, value in enumerate(ints):
+            start += value
+            running[j] = _rounded(start, unit)
+        return running, start << places
+    rest = whole - high * 2.0 ** 52
+    mid = np.floor(rest * 2.0 ** -26)
+    low = rest - mid * 2.0 ** 26
+    if not prefixes:
+        total = (((int(high.sum()) + base_high) << 52) + base_rest
+                 + (int(mid.sum()) << 26) + int(low.sum()))
+        return None, total << places
+    low = np.cumsum(low) + float(base_rest & ((1 << 26) - 1))
+    mid = np.cumsum(mid) + float(base_rest >> 26)
+    high = np.cumsum(high) + float(base_high)
+    carry = np.floor(low * 2.0 ** -26)
+    low -= carry * 2.0 ** 26
+    mid += carry
+    carry = np.floor(mid * 2.0 ** -26)
+    mid -= carry * 2.0 ** 26
+    high += carry
+    rest = mid * 2.0 ** 26 + low
+    # H * 2**52 alone can pass the top of the float64 range when the sum
+    # is just below it, so there both parts are added at half scale; a
+    # running sum past the range is an infinity
+    half = 1 if unit > 0 else 0
+    with np.errstate(over="ignore"):
+        running = np.ldexp(high, unit + 52 - half) + np.ldexp(rest,
+                                                              unit - half)
+        if half:
+            running = np.ldexp(running, 1)
+    if len(terms):
+        start = (int(high[-1]) << 52) + int(rest[-1])
+    return running, start << places
+
+
+def _running_sums(fam: FamilyVector, d: int, ms: np.ndarray,
+                  dims: int) -> tuple[list[int], float]:
+    """Exact coordinate sums of the terms at ``ms`` over the first
+    ``dims >= d`` series, as ints counting ``2**-1126``,
+    and the largest norm of their running sums over the first ``d``
+    series, in the listed order (0.0 when ``d`` is 0 or ``ms`` empty).
+
+    Each running sum coordinate is its exact value rounded once to
+    nearest (:func:`_exact_run`), so it is within ``2**-53`` of that
+    value, relatively.  The norm chains ``d - 1`` calls of ``np.hypot``
+    over the coordinates, each within one ulp (``2**-52``, relatively),
+    so the largest norm is within ``2 * d * 2**-53`` of the exact norm,
+    relatively: below 2e-13 for norms under 100 and ``d <= 8``, far
+    inside ``CHECK_SLACK``.
+    """
+    sums = [0] * dims
     peak = 0.0
-    for part in _chunks(ms, _PREFIX_RUN):
+    for part in _chunks(ms, _SUM_CHUNK):
         norms = None
-        for i in range(d):
-            run = term_array(fam[i], part)
-            prefix = np.cumsum(run) + hi[i]
-            norms = np.abs(prefix) if norms is None else np.hypot(norms,
-                                                                  prefix)
-            values = run.tolist()
-            total = math.fsum([hi[i], lo[i], *values])
-            lo[i] = math.fsum([hi[i], lo[i], *values, -total])
-            hi[i] = total
-        peak = max(peak, float(norms.max()))
-    return hi, peak
+        for i in range(dims):
+            running, sums[i] = _exact_run(term_array(fam[i], part), sums[i],
+                                          i < d)
+            if running is not None:
+                norms = (np.abs(running) if norms is None
+                         else np.hypot(norms, running))
+        if norms is not None:
+            peak = max(peak, float(norms.max()))
+    return sums, peak
 
 
-def _condition_failures(fam: FamilyVector, cond, targets: Sequence[float],
+def _condition_failures(fam: FamilyVector, cond, inj: np.ndarray | None,
+                        sums: list[int] | None, targets: Sequence[float],
                         schedule: ConstantSchedule, label: str) -> list[str]:
+    """The failed claims of a condition whose injection is ``inj`` (None
+    unless distinct and nonnegative) with exact coordinate ``sums``."""
     fails = []
-    inj = _index_array(cond.injection)
     if inj is None:
         fails.append(f"{label}: injection is not a map into distinct "
                      f"nonnegative indices")
@@ -147,8 +240,8 @@ def _condition_failures(fam: FamilyVector, cond, targets: Sequence[float],
     if fails:
         return fails
     d = cond.dim
-    sums, _ = _running_sums(fam, d, inj)
-    dev = math.hypot(*(sums[i] - float(targets[i]) for i in range(d)))
+    dev = math.hypot(*(_rounded(sums[i]) - float(targets[i])
+                       for i in range(d)))
     if not _certified_below(dev, cond.eps):
         fails.append(f"{label}: deviation {dev!r} is not certifiably below "
                      f"eps={cond.eps}")
@@ -165,8 +258,27 @@ def _condition_failures(fam: FamilyVector, cond, targets: Sequence[float],
     return fails
 
 
+def _link_block(fam: FamilyVector, lower, upper,
+                dims: int) -> tuple[list[int], float] | None:
+    """When ``lower`` extends ``upper`` by a run of distinct nonnegative
+    indices, the run's exact sums over the first ``dims`` series and, if
+    the link keeps its dimension within the family, its largest prefix
+    norm over the first ``upper.dim``; otherwise None."""
+    k = len(upper.injection)
+    if not np.array_equal(lower.injection[:k], upper.injection):
+        return None
+    block = _index_array(lower.injection[k:])
+    if block is None:
+        return None
+    d = upper.dim if lower.dim >= upper.dim and upper.dim <= len(fam) else 0
+    return _running_sums(fam, d, block, dims)
+
+
 def _link_failures(fam: FamilyVector, lower, upper, record: LinkRecord,
-                   label: str) -> list[str]:
+                   label: str,
+                   stats: tuple[list[int], float] | None) -> list[str]:
+    """The failed claims of a link, given :func:`_link_block`'s ``stats``
+    of its two conditions."""
     fails = []
     k = len(upper.injection)
     if not np.array_equal(lower.injection[:k], upper.injection):
@@ -179,13 +291,12 @@ def _link_failures(fam: FamilyVector, lower, upper, record: LinkRecord,
     if upper.dim > len(fam):
         fails.append(f"{label}: dimension {upper.dim} is out of range")
         return fails
-    block = _index_array(lower.injection[k:])
-    if block is None:
+    if stats is None:
         fails.append(f"{label}: appended block is not a run of distinct "
                      f"nonnegative indices")
         return fails
-    sums, prefix_max = _running_sums(fam, upper.dim, block)
-    block_norm = math.hypot(*sums) if len(block) else 0.0
+    sums, prefix_max = stats
+    block_norm = math.hypot(*map(_rounded, sums[:upper.dim]))
     two_eps = 2 * upper.eps
     if prefix_max > 0.0 and not _certified_below(prefix_max, two_eps):
         fails.append(f"{label}: appended block has a prefix of size "
@@ -239,9 +350,25 @@ def verify_data(data: CertificateData, fam: FamilyVector,
         schedule = (ConstantSchedule(data.schedule_values)
                     if data.schedule_values else DEFAULT_SCHEDULE)
     conds = data.conditions
+    # Each link's extension is checked first; a condition that extends
+    # the one before by a valid block then takes that condition's exact
+    # sums plus the block's, so every index is summed once.  A condition
+    # that does not is summed from scratch.
+    dims = min(len(fam), max((c.dim for c in conds), default=1))
+    blocks: list[tuple[list[int], float] | None] = []
+    sums: list[int] | None = None
     for pos, cond in enumerate(conds):
-        failures.extend(_condition_failures(fam, cond, targets_t, schedule,
-                                            f"condition {pos}"))
+        block = _link_block(fam, cond, conds[pos - 1], dims) if pos else None
+        blocks.append(block)
+        inj = _index_array(cond.injection)
+        if inj is None:
+            sums = None
+        elif block is not None and sums is not None:
+            sums = [a + b for a, b in zip(sums, block[0])]
+        else:
+            sums = _running_sums(fam, 0, inj, dims)[0]
+        failures.extend(_condition_failures(fam, cond, inj, sums, targets_t,
+                                            schedule, f"condition {pos}"))
     if len(data.links) != len(conds) - 1:
         failures.append(f"links: expected {len(conds) - 1} link lines, "
                         f"found {len(data.links)}")
@@ -255,7 +382,8 @@ def verify_data(data: CertificateData, fam: FamilyVector,
             failures.append(f"{label}: refers to a missing condition")
             continue
         failures.extend(_link_failures(fam, conds[record.lower],
-                                       conds[record.upper], record, label))
+                                       conds[record.upper], record, label,
+                                       blocks[record.lower]))
     return VerificationReport(not failures, tuple(failures), len(conds),
                               len(data.links))
 

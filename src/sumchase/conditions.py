@@ -25,7 +25,10 @@ coordinate by a fixed amount with harmonic tail terms costs
 exponentially many indices, so deferring a coordinate until its round
 would blow the budget.  Every claim is rechecked with measured
 quantities before the new condition is accepted; if any check fails,
-``delta`` is halved and the attempt repeats.
+``delta`` is halved and the attempt repeats.  ``run`` hands one chain
+state from round to round (the used mask, the exact sums and the check
+of the last condition), so a round sums and checks only the block it
+appends; is_condition and leq check from scratch.
 
 All tolerances are exact fractions.  Floating-point norms enter
 comparisons only through a fixed slack margin, so a certified inequality
@@ -33,20 +36,24 @@ survives recomputation by an independent checker.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .confinement import ConstantSchedule, DEFAULT_SCHEDULE
 from .errors import (BudgetExhaustedError, InfeasibleEtaError, InputError,
                      PreconditionError, SearchError)
-from .rearrange import (UsedIndices, _as_target, block_statistics,
-                        lane_modulus, missing_below, order_block_lanes,
-                        select_block_indices, widest_lane_dim)
-from .series import (FamilyVector, _InjectionRecord, index_problems,
-                     partial_sum_vector, tail_sup_bound, vector_terms)
+from .rearrange import (UsedIndices, _as_target, _largest_running_norm,
+                        block_statistics, lane_modulus, missing_below,
+                        order_block_lanes, select_block_indices,
+                        widest_lane_dim)
+from .series import (FamilyVector, _ExactSum, _InjectionRecord, _add_terms,
+                     index_problems, partial_sum_vector, tail_sup_bound,
+                     vector_terms)
 
 #: Margin subtracted from every strict certified comparison, absorbing
 #: float rounding in the measured quantity.
@@ -136,10 +143,23 @@ def is_condition(cond: Condition, fam: FamilyVector, targets,
     by the tail envelope above.
     """
     schedule = schedule or DEFAULT_SCHEDULE
-    targets_t = _as_target(targets)
+    used, problems = index_problems(cond.injection)
+    return _condition_report(cond, fam, _as_target(targets), schedule,
+                             problems,
+                             lambda d: partial_sum_vector(fam, used, d),
+                             lambda cutoff: missing_below(used, cutoff))
+
+
+def _condition_report(cond: Condition, fam: FamilyVector,
+                      targets_t: np.ndarray, schedule: ConstantSchedule,
+                      problems: tuple[str, ...],
+                      sums_of: Callable[[int], np.ndarray],
+                      unused_below: Callable[[int], np.ndarray]
+                      ) -> ConditionReport:
+    """is_condition's bullets from the injection's ``problems``, its
+    coordinate sums over the first ``d`` series, ``sums_of(d)``, and its
+    unused indices below a cutoff, ``unused_below(cutoff)``."""
     bullets: list[BulletCheck] = []
-    inj = cond.injection
-    used, problems = index_problems(inj)
     dup_free = not problems
     bullets.append(BulletCheck("injective", dup_free, float(len(problems)),
                                0.0, note=",".join(problems)))
@@ -151,13 +171,12 @@ def is_condition(cond: Condition, fam: FamilyVector, targets,
     if not (dup_free and dims_ok):
         return ConditionReport(False, tuple(bullets))
     d = cond.dim
-    sums = partial_sum_vector(fam, used, d)
-    deviation = float(np.linalg.norm(sums - targets_t[:d]))
+    deviation = float(np.linalg.norm(sums_of(d) - targets_t[:d]))
     bullets.append(BulletCheck("deviation", certified_lt(deviation, cond.eps),
                                deviation, float(cond.eps)))
-    cutoff = len(inj) + TAIL_CUTOFF_SPAN
+    cutoff = len(cond.injection) + TAIL_CUTOFF_SPAN
     ceiling = cond.eps / Fraction(schedule.value_at(d))
-    unused = missing_below(used, cutoff)
+    unused = unused_below(cutoff)
     below_max = float(np.linalg.norm(vector_terms(fam, unused, d),
                                      axis=1).max(initial=0.0))
     beyond = tail_sup_bound(fam, cutoff, d)
@@ -176,18 +195,25 @@ def leq(lower: Condition, upper: Condition,
     Both arguments are assumed to be valid conditions; validity itself is
     is_condition's job.
     """
-    bullets: list[BulletCheck] = []
     k = len(upper.injection)
     extends = np.array_equal(lower.injection[:k], upper.injection)
+    block = lower.injection[k:] if extends else ()
+    sums, prefix_max = block_statistics(fam, block, upper.dim)
+    return _link_report(lower, upper, extends, prefix_max,
+                        float(np.linalg.norm(sums)))
+
+
+def _link_report(lower: Condition, upper: Condition, extends: bool,
+                 prefix_max: float, block_norm: float) -> ConditionReport:
+    """leq's bullets from whether ``lower`` extends ``upper`` and the
+    appended block's largest running norm and sum norm, both measured
+    over the first ``upper.dim`` series."""
+    bullets: list[BulletCheck] = []
     bullets.append(BulletCheck("extends", extends, float(len(lower.injection)),
-                               float(k)))
+                               float(len(upper.injection))))
     bullets.append(BulletCheck("dimensions", lower.dim >= upper.dim,
                                float(lower.dim), float(upper.dim)))
-    d = upper.dim
     two_eps = 2 * upper.eps
-    block = lower.injection[k:] if extends else ()
-    sums, prefix_max = block_statistics(fam, block, d)
-    block_norm = float(np.linalg.norm(sums))
     bullets.append(BulletCheck(
         "block-prefixes",
         certified_lt(prefix_max, two_eps) if prefix_max > 0.0 else 0 < two_eps,
@@ -229,59 +255,120 @@ def _smallest_cover_cutoff(fam: FamilyVector, dim: int, bound: float,
     return max(lo, floor)
 
 
-def _attempt_extension(cond: Condition, n: int, fam: FamilyVector,
+@dataclass
+class _ChainState:
+    """What a chain knows about its last condition ``cond``, handed from
+    round to round so that a round reads only its own block: the check
+    ``report`` that accepted ``cond`` (is_condition's), its indices as a
+    mask, and the exact sums of its terms over the first ``len(sums)``
+    series."""
+
+    cond: Condition
+    report: ConditionReport
+    used: UsedIndices
+    sums: list[_ExactSum]
+
+    def carry(self, fam: FamilyVector, dim: int) -> None:
+        """Extend ``sums`` to the first ``dim`` series, each new one
+        summed over the whole injection."""
+        more = [_ExactSum() for _ in range(len(self.sums), dim)]
+        _add_terms(more, fam, self.cond.injection, len(self.sums))
+        self.sums.extend(more)
+
+
+def _extension_check(state: _ChainState, candidate: Condition,
+                     block: np.ndarray, used: UsedIndices,
+                     sums: list[_ExactSum], fam: FamilyVector,
+                     targets: np.ndarray,
+                     schedule: ConstantSchedule) -> ConditionReport:
+    """is_condition's report of ``candidate``, the state's condition plus
+    ``block``, read from the state: the injection is one when the block
+    has no duplicates and no index already in the state's mask; ``sums``
+    and ``used`` are the candidate's exact sums and mask."""
+    _, problems = index_problems(block)
+    if ("duplicate" not in problems
+            and state.used.contains(block[block >= 0]).any()):
+        problems += ("duplicate",)
+    return _condition_report(
+        candidate, fam, targets, schedule, problems,
+        lambda d: np.array([acc.value() for acc in sums[:d]]),
+        lambda cutoff: np.flatnonzero(~used.contains(np.arange(cutoff))))
+
+
+def _attempt_extension(state: _ChainState, n: int, fam: FamilyVector,
                        targets: np.ndarray, delta: Fraction,
                        schedule: ConstantSchedule, budget: int,
                        full_dim: int, modulus: int | None
                        ) -> tuple[ExtendDetail | None, int]:
+    """One ``delta`` attempt on a copy of the state's mask, summing only
+    the block; an accepted candidate is committed to the state."""
+    cond = state.cond
     d = cond.dim
     new_dim = d + 1
     cover_bound = float(delta / Fraction(schedule.value_at(new_dim))) / 4.0
     m_cov = _smallest_cover_cutoff(fam, new_dim, cover_bound, floor=n)
-    used = UsedIndices(cond.injection)
-    cover = missing_below(cond.injection, m_cov)
+    used = copy.deepcopy(state.used)
+    cover = np.flatnonzero(~used.contains(np.arange(m_cov)))
     used.add(cover)
-    base_full = partial_sum_vector(fam, cond.injection, full_dim)
-    cover_full = partial_sum_vector(fam, cover, full_dim)
+    block_sums = [_ExactSum() for _ in range(full_dim)]
+    _add_terms(block_sums, fam, cover)
+    base_full = np.array([acc.value() for acc in state.sums[:full_dim]])
+    cover_full = np.array([acc.value() for acc in block_sums])
     residual = targets[:full_dim] - base_full - cover_full
     # Steering every coordinate now keeps the next round's residual at
     # tolerance scale; solving it later, when only far tail indices remain
     # unused, would take exponentially many terms.  With no scan cap the
-    # picks land within delta / 4 of the targets, measured in norm.
+    # picks land within delta / 4 of the targets, measured in norm.  The
+    # scan stops once the block passes the budget.
     picks = select_block_indices(fam, full_dim, residual, used,
-                                 float(delta) / 4.0, scan_cap=math.inf)
-    block = np.concatenate((cover, picks))
-    appended = len(block)
+                                 float(delta) / 4.0, scan_cap=math.inf,
+                                 budget=budget - len(cover))
+    appended = len(cover) + len(picks)
     if appended > budget:
         raise BudgetExhaustedError(
-            f"extension block of {appended} indices exceeds the remaining "
-            f"budget of {budget}", best=cond)
-    injection = np.concatenate(
-        (cond.injection, order_block_lanes(fam, block, d, modulus=modulus)))
+            f"extension block of at least {appended} indices exceeds the "
+            f"remaining budget of {budget}", best=cond)
+    _add_terms(block_sums, fam, picks)
+    injection = np.concatenate((cond.injection, order_block_lanes(
+        fam, np.concatenate((cover, picks)), d, modulus=modulus)))
+    del cover, picks  # the block lives on in the injection only
     injection.flags.writeable = False  # so the condition takes it uncopied
+    block = injection[len(cond.injection):]
     candidate = Condition(injection, new_dim, delta)
-    link = leq(candidate, cond, fam)
+    block_norm = float(np.linalg.norm(
+        np.array([acc.value() for acc in block_sums[:d]])))
+    link = _link_report(candidate, cond, True,
+                        _largest_running_norm(fam, block, d), block_norm)
     # the link's block-prefixes bullet needs every running sum below
     # 2 * eps; a 2% margin keeps that certified comparison clear, and a
     # block without it is not worth checking further
     if link.bullet("block-prefixes").value > float(2 * cond.eps) * 0.98:
         return None, appended
-    check = is_condition(candidate, fam, targets, schedule=schedule)
-    if check.ok and link.ok:
-        return ExtendDetail(candidate, link, check, appended), appended
-    return None, appended
+    sums = [_ExactSum(a.units + b.units)
+            for a, b in zip(state.sums, block_sums)]
+    check = _extension_check(state, candidate, block, used, sums, fam,
+                             targets, schedule)
+    if not (check.ok and link.ok):
+        return None, appended
+    state.cond, state.report, state.used, state.sums = (candidate, check,
+                                                        used, sums)
+    return ExtendDetail(candidate, link, check, appended), appended
 
 
 def extend_detail(cond: Condition, n: int, fam: FamilyVector, targets,
                   budget: int = 10 ** 7,
-                  schedule: ConstantSchedule | None = None) -> ExtendDetail:
+                  schedule: ConstantSchedule | None = None, *,
+                  _state: _ChainState | None = None) -> ExtendDetail:
     """One refinement round: activate dimension ``d + 1``, cover all indices
     below ``n``, and certify a tolerance below ``1/n``.
 
     ``budget`` (nonnegative) caps the indices appended, summed over the
     ``delta`` attempts.  Returns the new condition together with the refinement
     evidence.  When a block would exceed the budget, BudgetExhaustedError
-    carries the input condition ``cond`` as ``best``.
+    carries the input condition ``cond`` as ``best``.  ``_state`` is
+    run's chain state, whose condition is ``cond``; the round then trusts
+    its check instead of checking ``cond`` again, and leaves it at the
+    new condition.
     """
     schedule = schedule or DEFAULT_SCHEDULE
     targets_t = _as_target(targets)
@@ -293,10 +380,10 @@ def extend_detail(cond: Condition, n: int, fam: FamilyVector, targets,
     if len(fam) < new_dim or len(targets_t) < new_dim:
         raise InputError(
             f"extension to dimension {new_dim} needs that many series and targets")
-    base_check = is_condition(cond, fam, targets_t, schedule=schedule)
-    if not base_check.ok:
-        raise PreconditionError(
-            f"input condition fails its {base_check.first_failure()} check")
+    if _state is None:
+        _state = _start_state(cond, fam, targets_t, schedule,
+                              PreconditionError, "input condition")
+    base_check = _state.report
     tail_ceiling = base_check.bullet("tail-small").value
     deviation = base_check.bullet("deviation").value
     c_d = Fraction(schedule.value_at(cond.dim))
@@ -322,9 +409,10 @@ def extend_detail(cond: Condition, n: int, fam: FamilyVector, targets,
     scope = widest_lane_dim(fam, new_dim, min(len(fam), len(targets_t)))
     full_dim = scope if scope is not None else new_dim
     modulus = lane_modulus(fam, full_dim)
+    _state.carry(fam, full_dim)
     budget_left = budget
     for _ in range(_DELTA_RETRIES):
-        detail, spent = _attempt_extension(cond, n, fam, targets_t, delta,
+        detail, spent = _attempt_extension(_state, n, fam, targets_t, delta,
                                            schedule, budget_left, full_dim,
                                            modulus)
         budget_left -= spent
@@ -334,6 +422,17 @@ def extend_detail(cond: Condition, n: int, fam: FamilyVector, targets,
     raise SearchError(
         f"extension from dimension {cond.dim} failed {_DELTA_RETRIES} "
         f"tolerance reductions in a row")
+
+
+def _start_state(cond: Condition, fam: FamilyVector, targets: np.ndarray,
+                 schedule: ConstantSchedule, error: type, what: str
+                 ) -> _ChainState:
+    """A chain state at ``cond``, checked from scratch by is_condition;
+    ``error`` naming ``what`` and the failed bullet when it fails."""
+    report = is_condition(cond, fam, targets, schedule=schedule)
+    if not report.ok:
+        raise error(f"{what} fails its {report.first_failure()} check")
+    return _ChainState(cond, report, UsedIndices(cond.injection), [])
 
 
 def extend(cond: Condition, n: int, fam: FamilyVector, targets,
@@ -396,19 +495,17 @@ def run(fam: FamilyVector, targets, rounds: int, seed: int = 0,
     if len(fam) < rounds + 1 or len(targets_t) < rounds + 1:
         raise InputError(
             f"{rounds} rounds need {rounds + 1} series and targets")
-    cond = initial_condition(fam, targets_t, schedule)
-    report = is_condition(cond, fam, targets_t, schedule=schedule)
-    if not report.ok:
-        raise SearchError(
-            f"initial condition fails its {report.first_failure()} check")
-    conditions = [cond]
+    state = _start_state(initial_condition(fam, targets_t, schedule), fam,
+                         targets_t, schedule, SearchError, "initial condition")
+    conditions = [state.cond]
     links: list[ConditionReport] = []
-    reports = [report]
+    reports = [state.report]
     budget_left = budget
     for r in range(1, rounds + 1):
         try:
-            detail = extend_detail(conditions[-1], r, fam, targets_t,
-                                   budget=budget_left, schedule=schedule)
+            detail = extend_detail(state.cond, r, fam, targets_t,
+                                   budget=budget_left, schedule=schedule,
+                                   _state=state)
         except BudgetExhaustedError as exc:
             partial = CertificateChain(tuple(conditions), tuple(links),
                                        tuple(reports))

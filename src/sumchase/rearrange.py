@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import (BudgetExhaustedError, InputError, PreconditionError,
                      StructureError)
-from .series import (FamilyVector, SeriesSpec, _InjectionRecord,
-                     index_problems, index_vector,
+from .series import (FamilyVector, SeriesSpec, _ExactSum, _InjectionRecord,
+                     _add_terms, index_problems, index_vector,
                      is_conditionally_convergent, partial_sum_vector,
                      magnitude_array, reduce_spec, term_array, vector_terms)
 
@@ -90,10 +90,16 @@ class PrefixPlan(_InjectionRecord):
 _NORM_ROWS = 1 << 16
 
 
-def _largest_running_norm(rows: np.ndarray) -> float:
-    """Largest norm of the running sums of ``rows`` (which become those
-    sums: ``np.cumsum`` runs in place).  The norms are taken ``2**16``
-    rows at a time, each row with the bits of one whole-array call."""
+def _largest_running_norm(fam: FamilyVector, indices: Sequence[int],
+                          dim: int) -> float:
+    """Largest norm of the running sums of the term vectors at
+    ``indices`` over the first ``dim`` series, in the listed order (0.0
+    for no indices).  One ``np.cumsum`` runs over the whole block; the
+    norms are taken ``2**16`` rows at a time, each row with the bits of
+    one whole-array call."""
+    if not len(indices):
+        return 0.0
+    rows = vector_terms(fam, indices, dim)
     np.cumsum(rows, axis=0, out=rows)
     return max(float(np.linalg.norm(rows[start:start + _NORM_ROWS],
                                     axis=1).max())
@@ -106,15 +112,21 @@ def block_statistics(fam: FamilyVector, indices: Sequence[int],
     series (``partial_sum_vector``), and the largest norm of their
     running sums in the listed order (0.0 for no indices)."""
     sums = partial_sum_vector(fam, indices, dim)
-    if not len(indices):
-        return sums, 0.0
-    return sums, _largest_running_norm(vector_terms(fam, indices, dim))
+    return sums, _largest_running_norm(fam, indices, dim)
+
+
+def _check_target_count(goal: np.ndarray, fam: FamilyVector) -> None:
+    if len(goal) > len(fam):
+        raise InputError(f"{len(goal)} targets for a family of {len(fam)} "
+                         f"series")
 
 
 def plan_from_injection(fam: FamilyVector, injection: Sequence[int],
                         target, dim: int | None = None) -> PrefixPlan:
-    """Canonical plan builder: all statistics recomputed from the series."""
+    """The canonical plan: all statistics recomputed from the series.
+    More targets than the family has series are an InputError."""
     goal = _as_target(target)
+    _check_target_count(goal, fam)
     dim = len(goal) if dim is None else dim
     inj = index_vector(injection)
     sums, max_excursion = block_statistics(fam, inj, dim)
@@ -417,10 +429,12 @@ def _lane_windows(modulus: int, residues: Sequence[int],
 
 
 def _take_if_fits(windows: Iterator[tuple[np.ndarray, np.ndarray]],
-                  remaining: float, tol: float) -> np.ndarray:
+                  remaining: float, tol: float,
+                  limit: float = math.inf) -> np.ndarray:
     """Take-if-fits over the candidates of ``windows``, runs of
     ``(indices, sizes)`` in scan order, from ``remaining`` down to below
-    ``tol``: the picks as an int64 array.
+    ``tol``: the picks as an int64 array.  The scan stops early, after
+    the run of takes that brings the picks past ``limit``.
 
     A run of takes is one ``np.cumsum`` over ``[remaining, -a_1, -a_2,
     ...]``, the subtractions of a scalar loop in the same order.  In IEEE
@@ -430,25 +444,29 @@ def _take_if_fits(windows: Iterator[tuple[np.ndarray, np.ndarray]],
     read only while ``tol`` or more remains.
     """
     picks = [np.zeros(0, dtype=np.int64)]
-    while remaining >= tol:
+    taken = 0
+    while remaining >= tol and taken <= limit:
         window = next(windows, None)
         if window is None:
             break
         free, sizes = window
         pos = 0
-        while pos < len(sizes) and remaining >= tol:
+        while pos < len(sizes) and remaining >= tol and taken <= limit:
             left = np.cumsum(np.concatenate(([remaining], -sizes[pos:])))
             low = np.flatnonzero(left[1:] < tol)
             if not low.size:
                 picks.append(free[pos:])
+                taken += len(sizes) - pos
                 remaining = float(left[-1])
                 break
             end = int(low[0])
             if left[end + 1] >= 0.0:
                 picks.append(free[pos:pos + end + 1])
+                taken += end + 1
                 remaining = float(left[end + 1])
                 break
             picks.append(free[pos:pos + end])
+            taken += end
             remaining = float(left[end])
             fits = np.flatnonzero(sizes[pos + end + 1:] <= remaining)
             pos = pos + end + 1 + int(fits[0]) if fits.size else len(sizes)
@@ -457,17 +475,17 @@ def _take_if_fits(windows: Iterator[tuple[np.ndarray, np.ndarray]],
 
 def _take_from_lane(struct: _LaneStructure, residues: Sequence[int],
                     mass: float, lane_tol: float, used: UsedIndices,
-                    scan_cap: float) -> np.ndarray:
+                    scan_cap: float, limit: float = math.inf) -> np.ndarray:
     """Take-if-fits over the lane's unused members in ascending order,
     from ``mass`` down to below ``lane_tol``, in blocks starting at most
-    ``scan_cap``; a member's size is its term magnitude
-    (``magnitude_array``)."""
+    ``scan_cap``, stopping once more than ``limit`` are taken; a member's
+    size is its term magnitude (``magnitude_array``)."""
     stop_block = (None if scan_cap == math.inf
                   else int(scan_cap // struct.modulus) + 1)
     free = (members[~used.contains(members)] for members
             in _lane_windows(struct.modulus, residues, stop_block))
     return _take_if_fits(((ms, magnitude_array(ms, struct.exponent))
-                          for ms in free), mass, lane_tol)
+                          for ms in free), mass, lane_tol, limit)
 
 
 def _first_unused(struct: _LaneStructure, residues: Sequence[int],
@@ -483,7 +501,8 @@ def _first_unused(struct: _LaneStructure, residues: Sequence[int],
 def select_block_indices(fam: FamilyVector, dim: int, residual: np.ndarray,
                          used: UsedIndices, tol: float,
                          boosts: Mapping[tuple[int, ...], float] | None = None,
-                         scan_cap: float | None = None) -> np.ndarray:
+                         scan_cap: float | None = None,
+                         budget: float = math.inf) -> np.ndarray:
     """Pick unused indices whose term-vector sum lands within ``tol`` of
     ``residual``, as an ascending int64 array.
 
@@ -497,7 +516,10 @@ def select_block_indices(fam: FamilyVector, dim: int, residual: np.ndarray,
     norm of the miss is below ``tol`` when ``scan_cap`` is ``math.inf``;
     the scan still terminates, because the terms tend to zero.  The
     default cap, a few lane periods past the depth where terms fall to
-    ``lane_tol``, can stop a lane early and void the bound.
+    ``lane_tol``, can stop a lane early and void the bound.  The scan
+    also stops, and returns an incomplete block, once it has picked more
+    than ``budget`` indices; the picks are kept within ``budget`` plus one
+    scan window (``2**14`` members).
     """
     struct = _lane_structure(fam, dim)
     if struct is None:
@@ -514,11 +536,15 @@ def select_block_indices(fam: FamilyVector, dim: int, residual: np.ndarray,
         first = _first_unused(struct, residues, used)
         frontiers[sig] = float(max(first, 1))
     parts = [np.zeros(0, dtype=np.int64)]
+    left = budget
     masses = _lane_masses(struct, residual, boosts or {}, frontiers)
     for sig, mass in masses.items():
         residues = struct.lane_residues[struct.sign_vectors.index(sig)]
         parts.append(_take_from_lane(struct, residues, mass, lane_tol, used,
-                                     scan_cap))
+                                     scan_cap, left))
+        left -= len(parts[-1])
+        if left < 0:
+            break
     picks = np.sort(np.concatenate(parts))
     used.add(picks)
     return picks
@@ -641,8 +667,7 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
     """
     goal = _as_target(target)
     dim = len(goal)
-    if dim > len(fam):
-        raise InputError(f"{dim} targets for a family of {len(fam)} series")
+    _check_target_count(goal, fam)
     _check_eps_budget(eps, budget)
     injection = index_vector(() if base is None else base.injection)
     taken, problems = index_problems(injection)
@@ -655,6 +680,9 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
             "chasing several series at once needs dyadic sign-pattern "
             "structure; decompose the family first")
     used = UsedIndices(taken)
+    # the exact sums of the prefix, carried from round to round
+    accs = [_ExactSum() for _ in range(dim)]
+    _add_terms(accs, fam, taken)
     appended = 0
     # the deviation and length of the closest prefix so far, as in
     # riemann_rearrange; its plan is built only when raising
@@ -662,8 +690,7 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
     prev_dev = math.inf
     boosts: dict[tuple[int, ...], float] = {}
     for _ in range(_DEFAULT_MAX_ROUNDS):
-        sums = partial_sum_vector(fam, injection, dim)
-        residual = goal - sums
+        residual = goal - np.array([acc.value() for acc in accs])
         dev = float(np.linalg.norm(residual))
         if dev < best_dev:
             best_dev, best_len = dev, len(injection)
@@ -686,6 +713,7 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
                                              dim))
             injection = np.concatenate((injection,
                                         order_block(fam, picks, dim)))
+            _add_terms(accs, fam, picks)
         stalled = not len(picks) or dev > prev_dev * 0.9
         if stalled and lanes_ok:
             boosts = complementary_boosts(fam, dim, max(dev, eps) * 0.5, rng)
@@ -707,9 +735,10 @@ def cover_indices(fam: FamilyVector, plan: PrefixPlan, n: int,
     no such bound.  The deviation of the result is whatever the covering
     forces it to be; chase the target again afterwards if it matters.
     The plan's statistics are measured over the first ``len(target)``
-    series.
+    series; more targets than series are an InputError.
     """
     goal = _as_target(target)
+    _check_target_count(goal, fam)
     dim = len(goal)
     if n < 0:
         raise InputError("cover bound must be nonnegative")
@@ -739,9 +768,10 @@ def verify_prefix(fam: FamilyVector, plan: PrefixPlan, target,
     Never raises for a malformed plan; every problem becomes a flag.
     Indices that are negative or repeated are flagged ``negative-index``
     or ``duplicate-index``, and the plan's own statistics are then
-    reported unchecked.
+    reported unchecked.  More targets than series are an InputError.
     """
     goal = _as_target(target)
+    _check_target_count(goal, fam)
     dim = len(goal) if dim is None else dim
     inj = plan.injection
     _, problems = index_problems(inj)

@@ -20,7 +20,6 @@ classification, tail bounds and classical summation.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -341,30 +340,89 @@ def _check_indices(indices: Sequence[int]) -> np.ndarray:
     return ms
 
 
-#: Floats per list that :func:`_fsum` hands on to ``math.fsum``.
-_FSUM_CHUNK = 1 << 16
+#: Every float64 is a whole multiple of ``2**-_EXACT_SCALE``: ``np.frexp``
+#: gives a 53-bit mantissa and an exponent of at least -1073.
+_EXACT_SCALE = 1126
+
+#: Values per ``np.bincount`` pass in :meth:`_ExactSum.add`.  A bin then
+#: adds at most ``2**16`` halves of below ``2**27`` each, far inside the
+#: ``2**53`` that float64 holds exactly.
+_EXACT_CHUNK = 1 << 16
 
 
-def _fsum(values: np.ndarray) -> float:
-    """``math.fsum(values)``, bit for bit, read from lists of at most
-    ``2**16`` floats: fsum iterates a list faster than an array, and the
-    chunks bound how many float objects exist at once."""
-    return math.fsum(itertools.chain.from_iterable(
-        values[start:start + _FSUM_CHUNK].tolist()
-        for start in range(0, len(values), _FSUM_CHUNK)))
+class _ExactSum:
+    """The exact sum of float64 values, held as a Python int count of
+    ``2**-1126`` (a long fixed-point accumulator).
+
+    :meth:`add` splits each value with ``np.frexp`` into a signed 53-bit
+    integer mantissa and an exponent, cuts the mantissa into halves
+    below ``2**27`` and ``2**26``, and ``np.bincount``s each half by
+    exponent.  Every bin total is a whole number below ``2**53``, so
+    float64 holds it exactly; the bins are then shifted into the int.
+    Nothing is rounded and no exponent range is excluded, so the sum does
+    not depend on the order or grouping of the values, and :meth:`value`
+    rounds it once to nearest, ties to even: ``math.fsum``'s result for
+    every finite input that fsum can sum (fsum raises OverflowError on an
+    intermediate overflow that the exact sum does not have).
+    """
+
+    __slots__ = ("units",)
+
+    def __init__(self, units: int = 0) -> None:
+        self.units = units
+
+    def add(self, values: np.ndarray) -> None:
+        """Add the 1-D float64 array ``values``; InputError if one of them
+        is not finite."""
+        for start in range(0, len(values), _EXACT_CHUNK):
+            mant, exp = np.frexp(values[start:start + _EXACT_CHUNK])
+            np.ldexp(mant, 53, out=mant)  # whole numbers below 2**53
+            high = np.trunc(mant * 2.0 ** -26)
+            mant -= high * 2.0 ** 26
+            low = int(exp.min())
+            bins = exp - low
+            highs = np.bincount(bins, weights=high)
+            lows = np.bincount(bins, weights=mant)
+            if not (np.isfinite(highs).all() and np.isfinite(lows).all()):
+                raise InputError("cannot sum non-finite terms")
+            used = np.flatnonzero((highs != 0.0) | (lows != 0.0))
+            shift = low - 53 + _EXACT_SCALE
+            for k, h, lo in zip(used.tolist(),
+                                highs[used].astype(np.int64).tolist(),
+                                lows[used].astype(np.int64).tolist()):
+                self.units += ((h << 26) + lo) << (k + shift)
+
+    def value(self) -> float:
+        """The sum rounded once to float64; OverflowError past its range."""
+        return self.units / (1 << _EXACT_SCALE)
+
+
+def _add_terms(sums: list[_ExactSum], fam: FamilyVector, ms: np.ndarray,
+               first: int = 0) -> None:
+    """Add the terms at the int64 indices ``ms`` of the series ``first``,
+    ``first + 1``, ... to ``sums``, one series per accumulator, evaluated
+    ``2**16`` indices at a time."""
+    specs = fam.specs[first:first + len(sums)]
+    for start in range(0, len(ms), _EXACT_CHUNK):
+        part = ms[start:start + _EXACT_CHUNK]
+        for acc, spec in zip(sums, specs):
+            acc.add(term_array(spec, part))
 
 
 def partial_sum_vector(fam: FamilyVector, indices: Sequence[int],
                        d: int | None = None) -> np.ndarray:
-    """Exactly rounded sums of the terms at the given distinct indices,
-    one per series over the first ``d`` series.
+    """Sums of the terms at the given distinct indices, one per series
+    over the first ``d`` series, each the exact sum rounded once
+    (``_ExactSum``).
 
-    Uses compensated summation, so the values do not depend on the order
-    in which indices are listed.
+    So the values do not depend on the order in which indices are
+    listed, and equal ``math.fsum`` of the terms.
     """
     d = len(fam) if d is None else d
     ms = _check_indices(indices)
-    return np.array([_fsum(term_array(spec, ms)) for spec in fam.specs[:d]])
+    sums = [_ExactSum() for _ in fam.specs[:d]]
+    _add_terms(sums, fam, ms)
+    return np.array([acc.value() for acc in sums])
 
 
 # ---------------------------------------------------------------------------

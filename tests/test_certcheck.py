@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from sumchase import verify_certificate, write_certificate
-from sumchase.certcheck import _running_sums, verify_data
-from sumchase.series import term_array
+from sumchase.certcheck import _rounded, _running_sums, verify_data
+from sumchase.series import partial_sum_vector, term_array
 from sumchase.fileio import parse_certificate
 from conftest import RAD_PAIR_ENTRIES, write_family_file
 
@@ -157,6 +157,31 @@ def test_each_broken_claim_is_reported_under_its_label(cert_setup, edit,
                for f in report.failures), report.failures
 
 
+def test_a_condition_whose_link_does_not_extend_is_summed_from_scratch(
+        cert_setup, small_chain):
+    """Condition 1 no longer extends condition 0, so it cannot take
+    condition 0's sums plus a block: its deviation, wrong against a
+    shrunken tolerance, is reported at its value from scratch."""
+    cert, spec, targets = cert_setup
+    fam = small_chain[0]
+    lines = open(cert).read().splitlines(keepends=True)
+    doctored = _compose(_sub("condition 0:", "f= ", "f=1 "),
+                        _sub("condition 1:", r"eps=\S+", "eps=1/1000000"))(
+        lines)
+    open(cert, "w").writelines(doctored)
+    data = parse_certificate(cert)
+    lower = data.conditions[1]
+    assert lower.injection[0] != 1
+    sums = partial_sum_vector(fam, lower.injection, lower.dim)
+    dev = math.hypot(*(float(s) - t for s, t in zip(sums, targets)))
+    report = verify_certificate(cert, spec)
+    assert not report.ok
+    assert any(f.startswith("link 1->0:") and "does not extend" in f
+               for f in report.failures), report.failures
+    assert (f"condition 1: deviation {dev!r} is not certifiably below "
+            f"eps=1/1000000") in report.failures, report.failures
+
+
 def test_running_sums_match_an_exact_running_sum(rad_pair):
     # 10 000 terms cross two prefix-run boundaries; the reference adds
     # every term exactly (dyadic fractions) and rounds each prefix once
@@ -167,6 +192,7 @@ def test_running_sums_match_an_exact_running_sum(rad_pair):
     for row in zip(*cols):
         exact = [s + Fraction(t) for s, t in zip(exact, row)]
         peak = max(peak, math.hypot(*(float(s) for s in exact)))
-    sums, prefix_max = _running_sums(rad_pair, 2, block)
+    units, prefix_max = _running_sums(rad_pair, 2, block, 2)
+    sums = [_rounded(u) for u in units]
     assert sums == [float(s) for s in exact]
     assert abs(prefix_max - peak) <= 1e-12

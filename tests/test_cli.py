@@ -182,6 +182,29 @@ def test_a_sign_level_too_deep_for_lanes_is_bad_input(tmp_path, capsys,
     assert not (tmp_path / "deep.cert").exists()
 
 
+def _limit_memory():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+
+def test_a_block_past_the_budget_stops_inside_the_lane_scan(tmp_path):
+    """The lane scan stops once the block passes the budget, so the chain
+    ends with exit 3 instead of filling memory with picks (under this
+    1.5 GB limit the scan used to end in a numpy allocation error)."""
+    spec = write_family_file(tmp_path / "deep3.json", [[
+        {"kind": "rademacher_harmonic", "level": level}
+        for level in (3, 7, 12)]])
+    proc = subprocess.run(
+        [sys.executable, "-m", "sumchase.cli", "extend-run", "--spec", spec,
+         "--targets", "0.1,0.2,-0.1", "--rounds", "2", "--budget", "200000",
+         "--cert", str(tmp_path / "deep3.cert")],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "round 1:" in proc.stderr
+    assert "remaining budget of 200000" in proc.stderr
+
+
 def test_rearrange_refuses_absolutely_convergent_specs(tmp_path, capsys):
     spec = write_family_file(tmp_path / "abs.json",
                              [[{"kind": "abs_power", "exponent": 2.0}]])

@@ -1,5 +1,6 @@
 """Condition validity, the refinement order, and the chain driver."""
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -183,26 +184,42 @@ def test_single_extension_covers_and_tightens():
 def test_a_failed_ordering_halves_delta_and_retries(monkeypatch):
     """A block whose running sums break the link's limit is rejected on
     its block-prefixes bullet alone, before the new condition is checked,
-    and the next attempt runs with half the ``delta``."""
+    and the next attempt runs with half the ``delta`` on the chain state
+    the failed attempt left unchanged."""
     base = initial_condition(PAIR, TARGETS)
     plain = extend_detail(base, 2, PAIR, TARGETS, budget=10 ** 6)
-    real_stats = conditions.block_statistics
+    real_prefix = conditions._largest_running_norm
     real_check = conditions.is_condition
-    measured, checked = [], []
+    real_state_check = conditions._extension_check
+    real_attempt = conditions._attempt_extension
+    measured, checked, states = [], [], []
 
     def over_the_limit_once(fam, indices, dim):
-        sums, prefix_max = real_stats(fam, indices, dim)
+        prefix_max = real_prefix(fam, indices, dim)
         measured.append(prefix_max)
         if len(measured) == 1:
             prefix_max = float(2 * base.eps)
-        return sums, prefix_max
+        return prefix_max
 
     def counted_check(cond, *args, **kwargs):
         checked.append(cond.eps)
         return real_check(cond, *args, **kwargs)
 
-    monkeypatch.setattr(conditions, "block_statistics", over_the_limit_once)
+    def counted_state_check(state, candidate, *args):
+        checked.append(candidate.eps)
+        return real_state_check(state, candidate, *args)
+
+    def seen_state(state, *args):
+        mask = state.used.contains(np.arange(1 << 16))
+        states.append((state.cond, state.report, mask.tobytes(),
+                       [acc.units for acc in state.sums]))
+        return real_attempt(state, *args)
+
+    monkeypatch.setattr(conditions, "_largest_running_norm",
+                        over_the_limit_once)
     monkeypatch.setattr(conditions, "is_condition", counted_check)
+    monkeypatch.setattr(conditions, "_extension_check", counted_state_check)
+    monkeypatch.setattr(conditions, "_attempt_extension", seen_state)
     detail = extend_detail(base, 2, PAIR, TARGETS, budget=10 ** 6)
     assert len(measured) == 2
     assert measured[0] < float(2 * base.eps) * 0.98
@@ -211,6 +228,12 @@ def test_a_failed_ordering_halves_delta_and_retries(monkeypatch):
     assert detail.check.ok
     assert detail.link.ok
     assert detail.condition.eps == plain.condition.eps / 2
+    # the second attempt started from the state the first one was given
+    assert len(states) == 2
+    assert states[0] == states[1]
+    assert states[0][0] is base
+    assert states[0][2] == bytes(1 << 16)  # the empty mask
+    assert states[0][3] == [0, 0]
 
 
 def test_an_exhausted_budget_carries_the_input_condition():
@@ -316,3 +339,41 @@ def test_chain_on_a_scaled_lane_family_verifies(tmp_path):
     report = verify_data(parse_certificate(str(cert)), fam)
     assert report.ok, report.failures
     assert report.conditions_checked == 3
+
+
+def _rademacher_chain(exponent):
+    fam = family(*(rademacher_harmonic(i, exponent) for i in range(4)))
+    return fam, (0.1, -0.2, 0.3, 0.0), 3
+
+
+def _benchmark_chain():
+    # the benchmark's chain request at seed 1: four series, two rounds,
+    # and targets jittered as perfbench/workloads.py jitters them
+    fam = family(*(rademacher_harmonic(i) for i in range(4)))
+    rng = random.Random(1)
+    targets = tuple(t + rng.uniform(-0.005, 0.005)
+                    for t in (0.1, -0.2, 0.3, 0.0))
+    return fam, targets, 2
+
+
+def _scaled_chain():
+    # CI's scaled.json
+    fam = family(composite([(8.0, rademacher_harmonic(0))]),
+                 rademacher_harmonic(1), rademacher_harmonic(2))
+    return fam, (0.1, -0.2, 0.3), 2
+
+
+@pytest.mark.parametrize("make", [
+    _benchmark_chain, _scaled_chain, lambda: _rademacher_chain(0.75)],
+    ids=["benchmark", "scaled", "p075"])
+def test_the_chain_state_gives_the_reports_of_the_checks_from_scratch(make):
+    """run carries its sums and mask from round to round; every report it
+    returns equals is_condition's and leq's, computed from scratch."""
+    fam, targets, rounds = make()
+    chain, _ = run(fam, targets, rounds)
+    assert len(chain.conditions) == rounds + 1
+    for cond, report in zip(chain.conditions, chain.condition_reports):
+        assert report == is_condition(cond, fam, targets)
+    for pos, link in enumerate(chain.checks):
+        lower, upper = chain.conditions[pos + 1], chain.conditions[pos]
+        assert link == leq(lower, upper, fam)

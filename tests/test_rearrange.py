@@ -516,3 +516,18 @@ def test_lane_masses_use_the_lane_period_on_gapped_levels():
         assert math.isfinite(rearrange._projected_depth(1.0, mass, 8, 1.0))
     for mass in pair_masses.values():
         assert math.isfinite(rearrange._projected_depth(1.0, mass, 4, 1.0))
+
+
+@pytest.mark.parametrize("n_series", [1, 2])
+def test_plans_refuse_more_targets_than_series(n_series):
+    """Three targets for a family of one or two series are bad input for
+    plan_from_injection and for the calls that build or check plans."""
+    fam = family(*(rademacher_harmonic(level) for level in range(n_series)))
+    targets = (0.1, 0.2, 5.0)
+    with pytest.raises(InputError, match="3 targets for a family of"):
+        plan_from_injection(fam, [0, 1, 2], targets)
+    plan = plan_from_injection(fam, [0, 1, 2], targets[:n_series])
+    with pytest.raises(InputError, match="3 targets for a family of"):
+        cover_indices(fam, plan, 10, targets)
+    with pytest.raises(InputError, match="3 targets for a family of"):
+        verify_prefix(fam, plan, targets)

@@ -1,5 +1,6 @@
 """Series construction, evaluation and classical summation."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -358,3 +359,97 @@ def test_vector_terms_rows_match_singleton_sums(indices):
     assert rows.shape == (len(indices), 2)
     for row, m in zip(rows, indices):
         assert np.array_equal(row, partial_sum_vector(fam, [m]))
+
+
+def _scaled_float(mantissa: int, exponent: int) -> float:
+    return math.ldexp(mantissa, exponent)
+
+
+# a 53-bit mantissa at any exponent that keeps it finite, from
+# subnormals (rounded by ldexp) to the 2**1023 scale
+_any_float = st.builds(_scaled_float,
+                       st.integers(-(2 ** 53 - 1), 2 ** 53 - 1),
+                       st.integers(-1130, 970))
+
+
+@st.composite
+def _summands(draw):
+    """Floats over a narrow or a wide exponent span, with signs mixed,
+    some negated copies for heavy cancellation, and a random split into
+    chunks."""
+    if draw(st.booleans()):
+        base = draw(st.integers(-1100, 940))
+        width = draw(st.sampled_from((0, 5, 30, 34)))
+        narrow = st.builds(_scaled_float,
+                           st.integers(-(2 ** 53 - 1), 2 ** 53 - 1),
+                           st.integers(base, base + width))
+        values = draw(st.lists(narrow, max_size=40))
+    else:
+        values = draw(st.lists(st.one_of(
+            _any_float, st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(-2.0 ** -1022, 2.0 ** -1022)), max_size=40))
+    cancel = draw(st.lists(st.sampled_from(values), max_size=20)
+                  if values else st.just([]))
+    values = values + [-v for v in cancel]
+    order = draw(st.permutations(range(len(values))))
+    values = [values[i] for i in order]
+    cuts = sorted(draw(st.lists(st.integers(0, len(values)), max_size=4)))
+    return values, cuts
+
+
+def _float_or_inf(value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+@settings(max_examples=400, deadline=None)
+@given(_summands(), st.sampled_from((1, 2, 3, 7, 1 << 16)))
+@example(([2.0 ** 1023, 2.0 ** 1023, -2.0 ** 1023, 5e-324], []), 1)
+@example(([0.1, 2.0 ** -1074, -0.1, 1e300, -1e300], [2]), 2)
+@example(([-math.ldexp(2 ** 52 + 1, 971)], []), 1)
+def test_both_exact_sums_equal_the_fraction_sum(case, chunk):
+    """The engine's accumulator and the checker's limb sums hold the
+    exact sum: the running sums of the checker, carried across the cuts,
+    and both totals round once to the correctly rounded value."""
+    from sumchase import certcheck, series
+
+    values, cuts = case
+    exact = sum(map(Fraction, values), Fraction(0))
+    unit = Fraction(1, 2 ** series._EXACT_SCALE)
+    saved = series._EXACT_CHUNK
+    series._EXACT_CHUNK = chunk
+    try:
+        acc = series._ExactSum()
+        for lo, hi in zip([0] + cuts, cuts + [len(values)]):
+            acc.add(np.array(values[lo:hi], dtype=np.float64))
+    finally:
+        series._EXACT_CHUNK = saved
+    assert acc.units * unit == exact
+    if abs(exact) < 2 ** 1024 - 2 ** 970:
+        assert acc.value() == float(exact)
+        if all(abs(v) < 2.0 ** 1020 for v in values):
+            assert math.fsum(values) == acc.value()
+    else:
+        with pytest.raises(OverflowError):
+            acc.value()
+    total, running, prefix = 0, [], Fraction(0)
+    expected = []
+    for v in values:
+        prefix += Fraction(v)
+        expected.append(_float_or_inf(prefix))
+    for lo, hi in zip([0] + cuts, cuts + [len(values)]):
+        part = np.array(values[lo:hi], dtype=np.float64)
+        got, total = certcheck._exact_run(part, total, True)
+        running.extend(got.tolist())
+        assert certcheck._exact_run(part, total - sum_units(part), False
+                                    )[1] == total
+    assert total * unit == exact
+    assert running == expected
+    assert certcheck._rounded(total) == _float_or_inf(exact)
+
+
+def sum_units(part: np.ndarray) -> int:
+    """The exact sum of ``part`` in units of ``2**-1126``."""
+    return int(sum(map(Fraction, part.tolist()), Fraction(0)) * 2 ** 1126)
