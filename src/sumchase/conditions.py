@@ -63,6 +63,9 @@ _SLACK_FRACTION = Fraction(1, 10 ** 9)
 #: term by term; beyond that the monotone tail envelope takes over.
 TAIL_CUTOFF_SPAN = 10_000
 
+#: Unused indices whose terms the candidate check evaluates at once.
+_SCAN_CHUNK = 1 << 16
+
 _ETA_STEPS = 20
 _DELTA_RETRIES = 5
 
@@ -177,8 +180,12 @@ def _condition_report(cond: Condition, fam: FamilyVector,
     cutoff = len(cond.injection) + TAIL_CUTOFF_SPAN
     ceiling = cond.eps / Fraction(schedule.value_at(d))
     unused = unused_below(cutoff)
-    below_max = float(np.linalg.norm(vector_terms(fam, unused, d),
-                                     axis=1).max(initial=0.0))
+    # a row's norm does not depend on the rows beside it, so the largest
+    # over chunks is the largest over every unused index
+    peaks = [np.linalg.norm(vector_terms(fam, unused[at:at + _SCAN_CHUNK], d),
+                            axis=1).max()
+             for at in range(0, len(unused), _SCAN_CHUNK)]
+    below_max = float(np.max(peaks, initial=0.0))
     beyond = tail_sup_bound(fam, cutoff, d)
     tail_ok = (certified_lt(below_max, ceiling) if below_max > 0.0 else True) \
         and certified_lt(beyond, ceiling)
@@ -292,7 +299,7 @@ def _extension_check(state: _ChainState, candidate: Condition,
     return _condition_report(
         candidate, fam, targets, schedule, problems,
         lambda d: np.array([acc.value() for acc in sums[:d]]),
-        lambda cutoff: np.flatnonzero(~used.contains(np.arange(cutoff))))
+        used.missing_below)
 
 
 def _attempt_extension(state: _ChainState, n: int, fam: FamilyVector,
@@ -308,7 +315,7 @@ def _attempt_extension(state: _ChainState, n: int, fam: FamilyVector,
     cover_bound = float(delta / Fraction(schedule.value_at(new_dim))) / 4.0
     m_cov = _smallest_cover_cutoff(fam, new_dim, cover_bound, floor=n)
     used = copy.deepcopy(state.used)
-    cover = np.flatnonzero(~used.contains(np.arange(m_cov)))
+    cover = used.missing_below(m_cov)
     used.add(cover)
     block_sums = [_ExactSum() for _ in range(full_dim)]
     _add_terms(block_sums, fam, cover)

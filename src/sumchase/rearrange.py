@@ -171,12 +171,16 @@ def riemann_rearrange(spec: SeriesSpec, target: float, eps: float,
     ``eps`` must be finite and positive and ``budget`` nonnegative.  May
     return an empty plan when the target is already within ``eps`` of
     zero.  Raises BudgetExhaustedError (carrying the best plan found) if
-    the budget runs out first.
+    the budget runs out first, and StructureError when the deepest sign
+    level needs a period above ``2**_LANE_PERIOD_BITS``, the lanes' own
+    limit: the first term of the second sign is that deep, and the sign
+    streams scan every index below it.
     """
     if not is_conditionally_convergent(spec):
         raise PreconditionError(
             "rearrangement needs a conditionally convergent series")
     _check_eps_budget(eps, budget)
+    _check_period(max(level for level, _, _ in reduce_spec(spec).patterns))
     target = float(target)
     if not math.isfinite(target):
         raise InputError("target must be finite")
@@ -230,6 +234,15 @@ class _LaneStructure:
 _LANE_PERIOD_BITS = 20
 
 
+def _check_period(deepest: int) -> None:
+    """StructureError when sign level ``deepest`` needs a residue period
+    above ``2**_LANE_PERIOD_BITS``."""
+    if deepest + 1 > _LANE_PERIOD_BITS:
+        raise StructureError(
+            f"sign level {deepest} needs a residue period of "
+            f"2**{deepest + 1}, above the limit of 2**{_LANE_PERIOD_BITS}")
+
+
 def _lane_structure(fam: FamilyVector, dim: int) -> _LaneStructure | None:
     """The residue lanes of the first ``dim`` series, or None when they
     do not form a dyadic family (one sign-pattern component each, a
@@ -252,10 +265,7 @@ def _lane_structure(fam: FamilyVector, dim: int) -> _LaneStructure | None:
     if exponent is None or len(set(levels)) != len(levels):
         return None
     deepest = max(levels)
-    if deepest + 1 > _LANE_PERIOD_BITS:
-        raise StructureError(
-            f"sign level {deepest} needs a residue period of "
-            f"2**{deepest + 1}, above the limit of 2**{_LANE_PERIOD_BITS}")
+    _check_period(deepest)
     modulus = 1 << (deepest + 1)
     lanes: dict[tuple[int, ...], list[int]] = {}
     for r in range(modulus):
@@ -392,6 +402,13 @@ class UsedIndices:
         inside = ms < len(self._bits)
         out[inside] = self._bits[ms[inside]]
         return out
+
+    def missing_below(self, n: int) -> np.ndarray:
+        """The indices below ``n`` that are not in the set, ascending."""
+        free = np.ones(max(n, 0), dtype=bool)
+        held = self._bits[:len(free)]
+        np.logical_not(held, out=free[:len(held)])
+        return np.flatnonzero(free)
 
 
 def missing_below(indices: np.ndarray, n: int) -> np.ndarray:

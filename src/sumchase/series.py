@@ -190,23 +190,34 @@ def term_array(spec: SeriesSpec, ms: np.ndarray) -> np.ndarray:
     ms = np.asarray(ms, dtype=np.int64)
     if ms.size and int(ms.min()) < 0:
         raise InputError("indices must be nonnegative")
+    return _terms(spec, ms, {})
+
+
+def _terms(spec: SeriesSpec, ms: np.ndarray,
+           powers: dict[float, np.ndarray]) -> np.ndarray:
+    """:func:`term_array` on the checked int64 indices ``ms``, reading
+    each exponent's magnitudes from ``powers`` (filled on first use), so
+    that the series of one evaluation, and a composite's refs, compute
+    each power once.  ``powers`` must belong to ``ms`` alone; its arrays
+    are never written."""
+    if spec.kind == KIND_COMPOSITE:
+        total = np.zeros(ms.shape, dtype=np.float64)
+        for coeff, ref in spec.combo:
+            total += coeff * _terms(ref, ms, powers)
+        if spec.perturbation is not None:
+            total += _terms(spec.perturbation, ms, powers)
+        return total
+    sizes = powers.get(spec.exponent)
+    if sizes is None:
+        sizes = powers[spec.exponent] = magnitude_array(ms, spec.exponent)
     if spec.kind == KIND_RADEMACHER:
-        signs = 1.0 - 2.0 * ((ms >> spec.level) & 1)
-        return signs * magnitude_array(ms, spec.exponent)
+        return (1.0 - 2.0 * ((ms >> spec.level) & 1)) * sizes
     if spec.kind == KIND_ALTERNATING:
-        signs = 1.0 - 2.0 * (ms & 1)
-        return signs * magnitude_array(ms, spec.exponent)
-    if spec.kind == KIND_ABS_POWER:
-        values = spec.scale * magnitude_array(ms, spec.exponent)
-        if spec.sign_level is not None:
-            values = values * (1.0 - 2.0 * ((ms >> spec.sign_level) & 1))
-        return values
-    total = np.zeros(ms.shape, dtype=np.float64)
-    for coeff, ref in spec.combo:
-        total += coeff * term_array(ref, ms)
-    if spec.perturbation is not None:
-        total += term_array(spec.perturbation, ms)
-    return total
+        return (1.0 - 2.0 * (ms & 1)) * sizes
+    values = spec.scale * sizes
+    if spec.sign_level is not None:
+        values = values * (1.0 - 2.0 * ((ms >> spec.sign_level) & 1))
+    return values
 
 
 def term(spec: SeriesSpec, m: int) -> float:

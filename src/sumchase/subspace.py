@@ -25,8 +25,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DisagreementError, InputError
-from .series import (FamilyVector, SeriesSpec, classical_sum, composite,
-                     reduce_spec, term_array)
+from .series import (FamilyVector, SeriesSpec, _terms, classical_sum,
+                     composite, reduce_spec)
 
 #: Default index count for the numerical growth cross-check.
 DEFAULT_TRUNCATION = 1 << 16
@@ -202,37 +202,93 @@ class GrowthStats:
 def growth_statistics(fam: FamilyVector, coeffs: Sequence[float],
                       truncation: int = DEFAULT_TRUNCATION) -> GrowthStats:
     """Sum |<coeffs, a_m>| over m < truncation, recording the halfway
-    value and the scale ``sum |c_i * a^i_m|``."""
-    if truncation < 4:
-        raise InputError("truncation too small for a meaningful growth test")
+    value and the scale ``sum |c_i * a^i_m|``.
+
+    This is the growth sweep of one vector: one pass over the indices in
+    chunks of ``2**15``, each series with a nonzero coefficient evaluated
+    once per chunk.  The chunk size fixes the bits of every field.
+    """
+    _check_truncation(truncation)
     dim = len(coeffs)
     if not 1 <= dim <= len(fam):
         raise InputError(f"{dim} coefficients for a family of {len(fam)} "
                          f"series")
     if not all(math.isfinite(c) for c in coeffs):
         raise InputError("coefficients must be finite")
+    return _growth_sweep(fam, [coeffs], truncation)[0]
+
+
+def _check_truncation(truncation: int) -> None:
+    if truncation < 4:
+        raise InputError("truncation too small for a meaningful growth test")
+
+
+def _growth_sweep(fam: FamilyVector, vectors: Sequence[Sequence[float]],
+                  truncation: int) -> list[GrowthStats]:
+    """The growth statistics of each of the finite coefficient
+    ``vectors`` (at most ``len(fam)`` entries each), from one pass over
+    the indices below ``truncation``.
+
+    Each half, ``[0, N/2)`` and ``[N/2, N)``, is read in chunks of
+    ``_CHUNK`` indices.  In a chunk each series that a vector uses is
+    evaluated once, and each exponent's magnitudes once.  Each vector
+    scales the columns of its nonzero coefficients in spec order and sums
+    them as a loop over that vector alone would, so every field has the
+    bits of such a loop.  A vector with one nonzero coefficient has its
+    scaled column as its combination, and one absolute sum serves its
+    scale and its total.  Live arrays: one column, the chunk's
+    magnitudes, and the combination of each vector with more than one
+    nonzero coefficient, from the series of its first such coefficient
+    to that of its last.
+    """
+    users: list[list[tuple[int, float]]] = [[] for _ in fam.specs]
+    last: dict[int, int] = {}  # vectors with more than one nonzero entry
+    for v, coeffs in enumerate(vectors):
+        support = [j for j, c in enumerate(coeffs) if c != 0.0]
+        for j in support:
+            users[j].append((v, coeffs[j]))
+        if len(support) > 1:
+            last[v] = support[-1]
     half = truncation // 2
-    totals = [0.0, 0.0]
-    scale = 0.0
-    for part, (lo, hi) in enumerate(((0, half), (half, truncation))):
-        acc = 0.0
+    scales = [0.0] * len(vectors)
+    totals = []
+    for lo, hi in ((0, half), (half, truncation)):
+        accs = [0.0] * len(vectors)
         for start in range(lo, hi, _CHUNK):
             ms = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
-            combo = np.zeros(ms.shape, dtype=np.float64)
-            for c, spec in zip(coeffs, fam.specs[:dim]):
-                if c != 0.0:
-                    scaled = c * term_array(spec, ms)
-                    combo += scaled
-                    scale += float(np.abs(scaled, out=scaled).sum())
-            acc += float(np.abs(combo).sum())
-        totals[part] = acc
-    half_sum = totals[0]
-    abs_sum = totals[0] + totals[1]
-    if half_sum > 0.0:
-        ratio = abs_sum / half_sum
-    else:
-        ratio = 1.0 if abs_sum == 0.0 else math.inf
-    return GrowthStats(abs_sum, half_sum, ratio, truncation, scale)
+            powers: dict[float, np.ndarray] = {}
+            combos: dict[int, np.ndarray] = {}
+            for j, (spec, uses) in enumerate(zip(fam.specs, users)):
+                if not uses:
+                    continue
+                column = _terms(spec, ms, powers)
+                for v, c in uses:
+                    scaled = c * column
+                    if v in last:
+                        if v not in combos:
+                            combos[v] = np.zeros(ms.shape, dtype=np.float64)
+                        combos[v] += scaled
+                    size = float(np.abs(scaled, out=scaled).sum())
+                    scales[v] += size
+                    if v not in last:
+                        accs[v] += size
+                    elif last[v] == j:
+                        combo = combos.pop(v)
+                        accs[v] += float(np.abs(combo, out=combo).sum())
+                        del combo
+                    del scaled
+                # free the arrays before the next series is evaluated
+                del column
+        totals.append(accs)
+    out = []
+    for half_sum, rest, scale in zip(*totals, scales):
+        abs_sum = half_sum + rest
+        if half_sum > 0.0:
+            ratio = abs_sum / half_sum
+        else:
+            ratio = 1.0 if abs_sum == 0.0 else math.inf
+        out.append(GrowthStats(abs_sum, half_sum, ratio, truncation, scale))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +317,16 @@ def k_space_growth(fam: FamilyVector, dim: int | None = None,
                    truncation: int = DEFAULT_TRUNCATION
                    ) -> tuple[list[CoefficientVector], list[GrowthStats]]:
     """:func:`k_space_basis` and the growth statistics of the ``dim``
-    coordinate directions that its cross-check computes, in order."""
+    coordinate directions that its cross-check computes, in order.
+
+    The cross-check is one growth sweep over the kernel vectors and the
+    unit directions together: one pass over the indices in chunks of
+    ``2**15``, each series evaluated once per chunk and each exponent's
+    powers once, with every statistic bit for bit what
+    :func:`growth_statistics` gives for its vector alone (the chunk size
+    fixes those bits).  The kernel vectors' verdicts are checked first,
+    in order, then the directions'.
+    """
     dim = len(fam) if dim is None else dim
     if not 1 <= dim <= len(fam):
         raise InputError(f"dimension {dim} outside the family")
@@ -270,20 +335,22 @@ def k_space_growth(fam: FamilyVector, dim: int | None = None,
              for combo in relations.values()]
     basis = [CoefficientVector.from_dense(
                  [float(x) for x in _normalize_exact(vec)]) for vec in dense]
-    for cv in basis:
-        stats = growth_statistics(fam, cv.as_array(dim), truncation)
-        if stats.verdict() == "divergent":
+    _check_truncation(truncation)
+    units = [[1.0 if j == i else 0.0 for j in range(dim)]
+             for i in range(dim)]
+    stats = _growth_sweep(fam, [cv.as_array(dim) for cv in basis] + units,
+                          truncation)
+    for cv, kernel_stats in zip(basis, stats):
+        if kernel_stats.verdict() == "divergent":
             raise DisagreementError(
                 f"declared kernel vector {cv.values} tests divergent "
-                f"(abs sum {stats.abs_sum:.6g} at N={truncation})")
-    growth = []
-    for i in range(dim):
+                f"(abs sum {kernel_stats.abs_sum:.6g} at N={truncation})")
+    growth = stats[len(basis):]
+    for i, unit_stats in enumerate(growth):
         # a unit vector lies in the kernel exactly when its series has no
         # pattern components
         declared_member = not reduce_spec(fam[i]).patterns
-        stats = growth_statistics(
-            fam, [1.0 if j == i else 0.0 for j in range(dim)], truncation)
-        verdict = stats.verdict()
+        verdict = unit_stats.verdict()
         if declared_member and verdict == "divergent":
             raise DisagreementError(
                 f"series {i} is declared absolutely convergent but its "
@@ -292,7 +359,6 @@ def k_space_growth(fam: FamilyVector, dim: int | None = None,
             raise DisagreementError(
                 f"series {i} is declared conditionally convergent but its "
                 f"absolute sums test bounded")
-        growth.append(stats)
     return basis, growth
 
 

@@ -182,6 +182,27 @@ def test_a_sign_level_too_deep_for_lanes_is_bad_input(tmp_path, capsys,
     assert not (tmp_path / "deep.cert").exists()
 
 
+@pytest.mark.parametrize("level, code, out", [
+    (40, 2, ""), (20, 2, ""), (19, 0, "length=49375 ")],
+    ids=["level-40", "level-20", "level-19"])
+def test_riemann_refuses_sign_levels_past_the_lane_limit(tmp_path, level,
+                                                         code, out):
+    # the first negative term of a level-40 series is at index 2**40, and
+    # the sign stream would scan every index below it
+    spec = write_family_file(tmp_path / "one.json", [[
+        {"kind": "rademacher_harmonic", "level": level}]])
+    proc = subprocess.run(
+        [sys.executable, "-m", "sumchase.cli", "rearrange", "--spec", spec,
+         "--targets=-0.1", "--eps", "0.01", "--budget", "100000"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.startswith(out)
+    if code == 2:
+        assert (f"sign level {level} needs a residue period of "
+                f"2**{level + 1}, above the limit of 2**20") in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def _limit_memory():
     import resource
     resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))

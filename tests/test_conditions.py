@@ -109,7 +109,9 @@ def test_condition_check_flags_thin_tails():
     (0, 2, 5, 40, 7, 10_050),
     (),
     (9, 10_003, 10_001, 2),
-], ids=["indices-past-cutoff", "empty-default-cutoff", "default-cutoff"])
+    tuple(range(0, 300_000, 3)),
+], ids=["indices-past-cutoff", "empty-default-cutoff", "default-cutoff",
+        "two-scan-chunks"])
 def test_tail_small_bullet_matches_a_brute_force(injection):
     d = 2
     cond = Condition(injection, d, Fraction(1, 100))

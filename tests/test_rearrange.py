@@ -154,6 +154,11 @@ def test_lanes_refuse_a_residue_period_above_the_limit():
     assert lane_modulus(deep, 2) == 4
     # level 19 has a period of exactly 2**20, the widest one enumerated
     assert lane_modulus(family(rademacher_harmonic(19)), 1) == 1 << 20
+    # one series is held to the same limit, from its deepest pattern
+    mixed = composite([(1.0, rademacher_harmonic(1)),
+                       (0.5, rademacher_harmonic(40, 0.75))])
+    with pytest.raises(StructureError, match="sign level 40.*2[*][*]20"):
+        riemann_rearrange(mixed, -0.1, 0.01, budget=10)
 
 
 def test_cover_adds_exactly_the_missing_indices():
@@ -531,3 +536,11 @@ def test_plans_refuse_more_targets_than_series(n_series):
         cover_indices(fam, plan, 10, targets)
     with pytest.raises(InputError, match="3 targets for a family of"):
         verify_prefix(fam, plan, targets)
+
+
+def test_used_indices_list_what_they_miss_below_a_bound():
+    used = rearrange.UsedIndices([3, 5])  # a mask of 6 entries
+    assert used.missing_below(8).tolist() == [0, 1, 2, 4, 6, 7]
+    assert used.missing_below(4).tolist() == [0, 1, 2]
+    assert used.missing_below(0).size == 0
+    assert rearrange.UsedIndices().missing_below(3).tolist() == [0, 1, 2]

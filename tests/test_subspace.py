@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from sumchase import (CoefficientVector, InputError, abs_power, composite,
                       dependency_decompose, family, growth_statistics,
-                      k_space_basis, membership_check,
+                      k_space_basis, membership_check, power_alternating,
                       predicted_dependent_limit, r_space, rademacher_harmonic,
                       sum_range, term)
+from sumchase import subspace
 from sumchase.series import reduce_spec, term_array
 
 ZETA2 = 1.6449340668482264
@@ -178,6 +179,79 @@ def test_growth_scale_sums_the_scaled_terms():
     assert stats.abs_sum <= stats.scale
     unit = growth_statistics(fam, [1.0, 0.0], truncation=64)
     assert unit.abs_sum == pytest.approx(unit.scale, rel=1e-12)
+
+
+def _reference_growth(fam, coeffs, truncation):
+    """The growth statistics of one vector, summed one vector at a time:
+    per 2**15-index chunk of each half, every nonzero coefficient's
+    scaled terms are added into the combination in spec order."""
+    dim = len(coeffs)
+    half = truncation // 2
+    totals = [0.0, 0.0]
+    scale = 0.0
+    for part, (lo, hi) in enumerate(((0, half), (half, truncation))):
+        acc = 0.0
+        for start in range(lo, hi, 1 << 15):
+            ms = np.arange(start, min(start + (1 << 15), hi), dtype=np.int64)
+            combo = np.zeros(ms.shape, dtype=np.float64)
+            for c, spec in zip(coeffs, fam.specs[:dim]):
+                if c != 0.0:
+                    scaled = c * term_array(spec, ms)
+                    combo += scaled
+                    scale += float(np.abs(scaled, out=scaled).sum())
+            acc += float(np.abs(combo).sum())
+        totals[part] = acc
+    half_sum = totals[0]
+    abs_sum = totals[0] + totals[1]
+    if half_sum > 0.0:
+        ratio = abs_sum / half_sum
+    else:
+        ratio = 1.0 if abs_sum == 0.0 else math.inf
+    return subspace.GrowthStats(abs_sum, half_sum, ratio, truncation, scale)
+
+
+def mixed_family():
+    """Exponents 0.5, 0.75, 1, 1.5 and 2.5 across six series: composites
+    whose refs mix exponents, perturbations, a signed abs_power used both
+    alone and as a perturbation, and negative coefficients."""
+    r0 = rademacher_harmonic(0, 0.75)
+    r1 = rademacher_harmonic(1, 1.0)
+    alt = power_alternating(0.5)
+    signed = abs_power(2.5, -0.5, sign_level=1)
+    mix = composite([(-1.5, r0), (2.0, r1), (0.5, alt)], perturbation=signed)
+    dep = composite([(-2.0, r0), (1.0, r1)],
+                    perturbation=composite([(-1.0, abs_power(1.5, 2.0))]))
+    return family(r0, r1, alt, signed, mix, dep)
+
+
+SWEEP_TRUNCATIONS = [4, 5, (1 << 15) + 3, 3 * (1 << 15) - 1]
+
+
+@pytest.mark.parametrize("truncation", SWEEP_TRUNCATIONS)
+@pytest.mark.parametrize("dim", [6, 3])
+def test_kernel_growth_sweep_matches_the_one_vector_loop(truncation, dim):
+    fam = mixed_family()
+    basis, growth = subspace.k_space_growth(fam, dim, truncation)
+    units = [[float(i == j) for j in range(dim)] for i in range(dim)]
+    assert growth == [_reference_growth(fam, u, truncation) for u in units]
+    kernel = [cv.as_array(dim) for cv in basis]
+    assert len(kernel) == (3 if dim == 6 else 0)
+    assert subspace._growth_sweep(fam, kernel + units, truncation) == [
+        _reference_growth(fam, v, truncation) for v in kernel + units]
+
+
+@pytest.mark.parametrize("truncation", SWEEP_TRUNCATIONS)
+@pytest.mark.parametrize("coeffs", [
+    [0.0, 0.0, 0.0, 0.0, 0.0, -2.5],
+    [1.0, -1.0, 0.5, -3.0, 2.0, -0.75],
+    [0.0, 0.0, 0.0, -1.0],
+    [0.0, 0.0, 0.0],
+    [-0.125]], ids=["one-composite", "all-signed", "signed-abs", "zero",
+                    "one"])
+def test_growth_statistics_matches_the_one_vector_loop(coeffs, truncation):
+    fam = mixed_family()
+    assert growth_statistics(fam, coeffs, truncation) == _reference_growth(
+        fam, coeffs, truncation)
 
 
 def test_growth_statistics_rejects_tiny_truncations():
