@@ -30,7 +30,7 @@ from .rearrange import (PrefixPlan, UsedIndices, chase_target,
 from .series import (FamilyVector, SeriesSpec, abs_power, classical_sum,
                      composite, family, is_conditionally_convergent,
                      partial_sum_vector, power_alternating,
-                     rademacher_harmonic, tail_sup_bound, term)
+                     rademacher_harmonic, tail_sup_bound)
 from .subspace import (AffineSumRange, CoefficientVector,
                        DependencyStructure, dependency_decompose,
                        growth_statistics, k_space_basis, membership_check,
@@ -56,6 +56,6 @@ __all__ = [
     "power_alternating", "predicted_dependent_limit", "prefix_norms",
     "published_constant", "r_space", "rademacher_harmonic",
     "riemann_rearrange", "run", "select_block_indices", "sum_range",
-    "tail_sup_bound", "term", "trace_rows", "verify_certificate",
+    "tail_sup_bound", "trace_rows", "verify_certificate",
     "verify_prefix", "write_certificate", "write_trace",
 ]

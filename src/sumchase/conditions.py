@@ -40,7 +40,6 @@ import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -48,12 +47,12 @@ from .confinement import ConstantSchedule, DEFAULT_SCHEDULE
 from .errors import (BudgetExhaustedError, InfeasibleEtaError, InputError,
                      PreconditionError, SearchError)
 from .rearrange import (UsedIndices, _as_target, _largest_running_norm,
-                        block_statistics, lane_modulus, missing_below,
-                        order_block_lanes, select_block_indices,
-                        widest_lane_dim)
+                        block_statistics, lane_modulus, order_block_lanes,
+                        select_block_indices, widest_lane_dim)
 from .series import (FamilyVector, _ExactSum, _InjectionRecord, _add_terms,
-                     index_problems, partial_sum_vector, tail_sup_bound,
-                     vector_terms)
+                     index_problems, tail_sup_bound, vector_terms)
+# not called here; perfbench/tracing.py rebinds this name in each module
+from .series import partial_sum_vector  # noqa: F401
 
 #: Margin subtracted from every strict certified comparison, absorbing
 #: float rounding in the measured quantity.
@@ -145,23 +144,18 @@ def is_condition(cond: Condition, fam: FamilyVector, targets,
     ``len(injection) + TAIL_CUTOFF_SPAN``, the certificate checker's, and
     by the tail envelope above.
     """
-    schedule = schedule or DEFAULT_SCHEDULE
-    used, problems = index_problems(cond.injection)
-    return _condition_report(cond, fam, _as_target(targets), schedule,
-                             problems,
-                             lambda d: partial_sum_vector(fam, used, d),
-                             lambda cutoff: missing_below(used, cutoff))
+    return _checked_state(cond, fam, _as_target(targets),
+                          schedule or DEFAULT_SCHEDULE).report
 
 
 def _condition_report(cond: Condition, fam: FamilyVector,
                       targets_t: np.ndarray, schedule: ConstantSchedule,
-                      problems: tuple[str, ...],
-                      sums_of: Callable[[int], np.ndarray],
-                      unused_below: Callable[[int], np.ndarray]
-                      ) -> ConditionReport:
-    """is_condition's bullets from the injection's ``problems``, its
-    coordinate sums over the first ``d`` series, ``sums_of(d)``, and its
-    unused indices below a cutoff, ``unused_below(cutoff)``."""
+                      problems: tuple[str, ...], sums: list[_ExactSum],
+                      used: UsedIndices) -> ConditionReport:
+    """is_condition's bullets from the injection's ``problems``, the exact
+    sums of its terms over the first ``cond.dim`` series (or more) and its
+    indices as a mask; ``sums`` and ``used`` are read only when the
+    injection has no problems and the dimension fits."""
     bullets: list[BulletCheck] = []
     dup_free = not problems
     bullets.append(BulletCheck("injective", dup_free, float(len(problems)),
@@ -174,12 +168,13 @@ def _condition_report(cond: Condition, fam: FamilyVector,
     if not (dup_free and dims_ok):
         return ConditionReport(False, tuple(bullets))
     d = cond.dim
-    deviation = float(np.linalg.norm(sums_of(d) - targets_t[:d]))
+    deviation = float(np.linalg.norm(
+        np.array([acc.value() for acc in sums[:d]]) - targets_t[:d]))
     bullets.append(BulletCheck("deviation", certified_lt(deviation, cond.eps),
                                deviation, float(cond.eps)))
     cutoff = len(cond.injection) + TAIL_CUTOFF_SPAN
     ceiling = cond.eps / Fraction(schedule.value_at(d))
-    unused = unused_below(cutoff)
+    unused = used.missing_below(cutoff)
     # a row's norm does not depend on the rows beside it, so the largest
     # over chunks is the largest over every unused index
     peaks = [np.linalg.norm(vector_terms(fam, unused[at:at + _SCAN_CHUNK], d),
@@ -296,10 +291,8 @@ def _extension_check(state: _ChainState, candidate: Condition,
     if ("duplicate" not in problems
             and state.used.contains(block[block >= 0]).any()):
         problems += ("duplicate",)
-    return _condition_report(
-        candidate, fam, targets, schedule, problems,
-        lambda d: np.array([acc.value() for acc in sums[:d]]),
-        used.missing_below)
+    return _condition_report(candidate, fam, targets, schedule, problems,
+                             sums, used)
 
 
 def _attempt_extension(state: _ChainState, n: int, fam: FamilyVector,
@@ -431,15 +424,30 @@ def extend_detail(cond: Condition, n: int, fam: FamilyVector, targets,
         f"tolerance reductions in a row")
 
 
+def _checked_state(cond: Condition, fam: FamilyVector, targets: np.ndarray,
+                   schedule: ConstantSchedule) -> _ChainState:
+    """A chain state at ``cond`` checked from scratch: its mask and its
+    exact sums over the first ``cond.dim`` series, and the report they
+    give.  An injection with negative or repeated entries gets an empty
+    mask and no sums, which its report does not read."""
+    _, problems = index_problems(cond.injection)
+    used = UsedIndices(() if problems else cond.injection)
+    sums = [_ExactSum() for _ in range(0 if problems else cond.dim)]
+    _add_terms(sums, fam, cond.injection)
+    report = _condition_report(cond, fam, targets, schedule, problems, sums,
+                               used)
+    return _ChainState(cond, report, used, sums)
+
+
 def _start_state(cond: Condition, fam: FamilyVector, targets: np.ndarray,
                  schedule: ConstantSchedule, error: type, what: str
                  ) -> _ChainState:
-    """A chain state at ``cond``, checked from scratch by is_condition;
-    ``error`` naming ``what`` and the failed bullet when it fails."""
-    report = is_condition(cond, fam, targets, schedule=schedule)
-    if not report.ok:
-        raise error(f"{what} fails its {report.first_failure()} check")
-    return _ChainState(cond, report, UsedIndices(cond.injection), [])
+    """:func:`_checked_state`, raising ``error`` naming ``what`` and the
+    failed bullet when the check fails."""
+    state = _checked_state(cond, fam, targets, schedule)
+    if not state.report.ok:
+        raise error(f"{what} fails its {state.report.first_failure()} check")
+    return state
 
 
 def extend(cond: Condition, n: int, fam: FamilyVector, targets,

@@ -5,7 +5,8 @@ family is a list of series descriptions keyed by ``kind``:
 
 * ``rademacher_harmonic`` takes ``level`` (required) and ``exponent``
   (default 1.0),
-* ``power_alternating`` takes ``exponent`` (default 1.0),
+* ``power_alternating`` takes ``exponent`` (default 1.0) and builds the
+  level-0 ``rademacher_harmonic`` pattern,
 * ``abs_power`` takes ``exponent`` (required, above 1), ``scale``
   (default 1.0) and an optional ``level`` selecting a sign pattern,
 * ``composite`` takes ``combo``, a list of ``{"coefficient": c, "ref": r}``
@@ -269,7 +270,6 @@ class _Trace:
     def __init__(self, fam: FamilyVector, injection: Sequence[int],
                  dim: int, chain: CertificateChain | None) -> None:
         self._args = (fam, injection)
-        self.length = len(injection)
         self.dim = dim
         self._labels: list[tuple[int | None, Fraction | None]] = [
             (None, None)]

@@ -81,10 +81,6 @@ class PrefixPlan(_InjectionRecord):
     def used_set(self) -> frozenset[int]:
         return frozenset(self.injection.tolist())
 
-    def extends(self, other: "PrefixPlan") -> bool:
-        return np.array_equal(self.injection[:len(other.injection)],
-                              other.injection)
-
 
 #: Rows per ``np.linalg.norm`` call in :func:`_largest_running_norm`.
 _NORM_ROWS = 1 << 16
@@ -122,15 +118,15 @@ def _check_target_count(goal: np.ndarray, fam: FamilyVector) -> None:
 
 
 def plan_from_injection(fam: FamilyVector, injection: Sequence[int],
-                        target, dim: int | None = None) -> PrefixPlan:
-    """The canonical plan: all statistics recomputed from the series.
-    More targets than the family has series are an InputError."""
+                        target) -> PrefixPlan:
+    """The canonical plan: all statistics recomputed from the series,
+    measured over the first ``len(target)`` series.  More targets than
+    the family has series are an InputError."""
     goal = _as_target(target)
     _check_target_count(goal, fam)
-    dim = len(goal) if dim is None else dim
     inj = index_vector(injection)
-    sums, max_excursion = block_statistics(fam, inj, dim)
-    deviation = float(np.linalg.norm(sums - goal[:dim]))
+    sums, max_excursion = block_statistics(fam, inj, len(goal))
+    deviation = float(np.linalg.norm(sums - goal))
     return PrefixPlan(inj, deviation, max_excursion)
 
 
@@ -195,7 +191,7 @@ def riemann_rearrange(spec: SeriesSpec, target: float, eps: float,
         if abs(running - target) < eps:
             exact = partial_sum_vector(fam, injection, 1)[0]
             if abs(exact - target) < eps:
-                return plan_from_injection(fam, injection, target, 1)
+                return plan_from_injection(fam, injection, target)
             running = exact  # drift got us here; resync and keep going
             continue
         if len(injection) >= budget:
@@ -207,7 +203,7 @@ def riemann_rearrange(spec: SeriesSpec, target: float, eps: float,
         dev = abs(running - target)
         if dev < best_dev:
             best_dev, best_len = dev, len(injection)
-    best = plan_from_injection(fam, injection[:best_len], target, 1)
+    best = plan_from_injection(fam, injection[:best_len], target)
     raise BudgetExhaustedError(
         f"used {budget} terms without reaching eps={eps!r} "
         f"(best deviation {best.deviation!r})", best=best)
@@ -314,7 +310,7 @@ _FILL_CHUNKS = 96
 
 def _lane_masses(struct: _LaneStructure, residual: np.ndarray,
                  boosts: Mapping[tuple[int, ...], float],
-                 frontiers: Mapping[tuple[int, ...], float] | None = None
+                 frontiers: Mapping[tuple[int, ...], float]
                  ) -> dict[tuple[int, ...], float]:
     """Nonnegative per-lane masses whose signed sum reproduces ``residual``.
 
@@ -323,19 +319,16 @@ def _lane_masses(struct: _LaneStructure, residual: np.ndarray,
     every other coordinate).  Each axis fills its pairs greedily by
     marginal index cost: drawing mass from a lane consumes indices at a
     rate of depth**p per unit, so mass is routed through lanes whose
-    unused frontier is shallow.  A lane holds ``modulus / 2**dim``
-    residues, so its members are ``period = 2**dim`` apart on average; a
-    lane asked to carry a move alone would be mined to depth
-    ``exp(period * mass)`` times its frontier (for ``p = 1``), and every
-    later selection touching that lane starts from that depth.
+    unused frontier (``frontiers``, per lane) is shallow.  A lane holds
+    ``modulus / 2**dim`` residues, so its members are ``period = 2**dim``
+    apart on average; a lane asked to carry a move alone would be mined
+    to depth ``exp(period * mass)`` times its frontier (for ``p = 1``),
+    and every later selection touching that lane starts from that depth.
     """
     scaled = residual / np.array(struct.coeffs)
     dim = len(struct.levels)
     period = struct.modulus // len(struct.lane_residues[0])
     p = struct.exponent
-    front = {sig: 1.0 for sig in struct.sign_vectors}
-    if frontiers is not None:
-        front.update(frontiers)
     loads = {sig: 0.0 for sig in struct.sign_vectors}
     if dim == 1:
         if scaled[0] > 0.0:
@@ -344,7 +337,7 @@ def _lane_masses(struct: _LaneStructure, residual: np.ndarray,
             loads[(-1,)] = float(-scaled[0])
     else:
         def marginal(sig: tuple[int, ...]) -> float:
-            depth = _projected_depth(front[sig], loads[sig], period, p)
+            depth = _projected_depth(frontiers[sig], loads[sig], period, p)
             return depth ** p if depth != math.inf else math.inf
 
         axes = sorted(range(dim), key=lambda i: -abs(float(scaled[i])))
@@ -409,15 +402,6 @@ class UsedIndices:
         held = self._bits[:len(free)]
         np.logical_not(held, out=free[:len(held)])
         return np.flatnonzero(free)
-
-
-def missing_below(indices: np.ndarray, n: int) -> np.ndarray:
-    """The indices below ``n`` that the int64 array ``indices`` does not
-    hold, ascending.  The mask has ``n`` entries however far the indices
-    reach, and is faster than ``np.setdiff1d``'s hash-based unique."""
-    free = np.ones(max(n, 0), dtype=bool)
-    free[indices[(indices >= 0) & (indices < n)]] = False
-    return np.flatnonzero(free)
 
 
 #: The most lane members a scan reads at once.  Windows start at 256
@@ -712,7 +696,7 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
         if dev < best_dev:
             best_dev, best_len = dev, len(injection)
         if dev < eps * 0.95:
-            return plan_from_injection(fam, injection, goal, dim)
+            return plan_from_injection(fam, injection, goal)
         if lanes_ok:
             picks = select_block_indices(fam, dim, residual, used, eps / 4.0,
                                          boosts=boosts)
@@ -726,8 +710,7 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
             if appended > budget:
                 raise BudgetExhaustedError(
                     f"block selection exceeded the budget of {budget} terms",
-                    best=plan_from_injection(fam, injection[:best_len], goal,
-                                             dim))
+                    best=plan_from_injection(fam, injection[:best_len], goal))
             injection = np.concatenate((injection,
                                         order_block(fam, picks, dim)))
             _add_terms(accs, fam, picks)
@@ -738,7 +721,7 @@ def chase_target(fam: FamilyVector, base: PrefixPlan | None, target,
     raise BudgetExhaustedError(
         f"no plan within eps={eps!r} after {_DEFAULT_MAX_ROUNDS} rounds "
         f"(best deviation {best_dev!r})",
-        best=plan_from_injection(fam, injection[:best_len], goal, dim))
+        best=plan_from_injection(fam, injection[:best_len], goal))
 
 
 def cover_indices(fam: FamilyVector, plan: PrefixPlan, n: int,
@@ -759,12 +742,13 @@ def cover_indices(fam: FamilyVector, plan: PrefixPlan, n: int,
     dim = len(goal)
     if n < 0:
         raise InputError("cover bound must be nonnegative")
-    missing = missing_below(plan.injection, n)
+    held = plan.injection[(plan.injection >= 0) & (plan.injection < n)]
+    missing = UsedIndices(held).missing_below(n)
     if not missing.size:
         return plan
     injection = np.concatenate((plan.injection,
                                 order_block(fam, missing, dim)))
-    return plan_from_injection(fam, injection, goal, dim)
+    return plan_from_injection(fam, injection, goal)
 
 
 @dataclass(frozen=True)
@@ -785,17 +769,21 @@ def verify_prefix(fam: FamilyVector, plan: PrefixPlan, target,
     Never raises for a malformed plan; every problem becomes a flag.
     Indices that are negative or repeated are flagged ``negative-index``
     or ``duplicate-index``, and the plan's own statistics are then
-    reported unchecked.  More targets than series are an InputError.
+    reported unchecked.  The statistics are measured over the first
+    ``dim`` series (by default one per target); more targets than series,
+    or a ``dim`` outside ``1..len(target)``, are an InputError.
     """
     goal = _as_target(target)
     _check_target_count(goal, fam)
     dim = len(goal) if dim is None else dim
+    if not 1 <= dim <= len(goal):
+        raise InputError(f"dimension {dim} outside 1..{len(goal)}")
     inj = plan.injection
     _, problems = index_problems(inj)
     flags = [f"{problem}-index" for problem in problems]
     deviation, max_excursion = plan.deviation, plan.max_excursion
     if not flags:
-        fresh = plan_from_injection(fam, inj, goal, dim)
+        fresh = plan_from_injection(fam, inj, goal[:dim])
         deviation, max_excursion = fresh.deviation, fresh.max_excursion
         if abs(deviation - plan.deviation) > 1e-12:
             flags.append("deviation-mismatch")

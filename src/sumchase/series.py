@@ -1,12 +1,13 @@
 """Finitely described real series: terms, partial sums, tail bounds.
 
-Four spec kinds cover everything the rest of the package consumes:
+Three spec kinds cover everything the rest of the package consumes:
 
 * ``rademacher_harmonic(level i, exponent p)``:
   ``a_m = (-1)**floor(m / 2**i) / (m + 1)**p`` with ``p`` in ``(0, 1]``.
   The sign is constant on dyadic blocks of length ``2**i`` and distinct
-  levels give jointly independent sign patterns.
-* ``power_alternating(exponent p)``: ``a_m = (-1)**m / (m + 1)**p``.
+  levels give jointly independent sign patterns.  The plain alternating
+  series ``(-1)**m / (m + 1)**p`` is the level-0 pattern, which
+  ``power_alternating(p)`` returns.
 * ``abs_power(exponent q, scale)``: ``a_m = scale / (m + 1)**q`` with
   ``q > 1`` (absolutely convergent), optionally carrying a dyadic sign
   pattern of its own.
@@ -31,11 +32,10 @@ import numpy as np
 from .errors import BudgetExhaustedError, InputError
 
 KIND_RADEMACHER = "rademacher_harmonic"
-KIND_ALTERNATING = "power_alternating"
 KIND_ABS_POWER = "abs_power"
 KIND_COMPOSITE = "composite"
 
-_KINDS = (KIND_RADEMACHER, KIND_ALTERNATING, KIND_ABS_POWER, KIND_COMPOSITE)
+_KINDS = (KIND_RADEMACHER, KIND_ABS_POWER, KIND_COMPOSITE)
 
 #: Default cap on term evaluations inside classical_sum.
 DEFAULT_TERM_BUDGET = 50_000_000
@@ -86,12 +86,6 @@ class SeriesSpec:
             raise InputError(f"unknown series kind {self.kind!r}")
         if self.kind == KIND_RADEMACHER:
             self._check_level_field()
-            self._check_conditional_exponent()
-            self._forbid(sign_level=self.sign_level, combo=self.combo,
-                         perturbation=self.perturbation)
-        elif self.kind == KIND_ALTERNATING:
-            if self.level is not None:
-                raise InputError("power_alternating takes no level")
             self._check_conditional_exponent()
             self._forbid(sign_level=self.sign_level, combo=self.combo,
                          perturbation=self.perturbation)
@@ -150,8 +144,9 @@ def rademacher_harmonic(level: int, exponent: float = 1.0) -> SeriesSpec:
 
 
 def power_alternating(exponent: float = 1.0) -> SeriesSpec:
-    """Plain alternating series ``(-1)**m / (m+1)**p``."""
-    return SeriesSpec(KIND_ALTERNATING, exponent=_as_float("exponent", exponent))
+    """Plain alternating series ``(-1)**m / (m+1)**p``: the level-0
+    pattern, ``rademacher_harmonic(0, p)``."""
+    return rademacher_harmonic(0, exponent)
 
 
 def abs_power(exponent: float, scale: float = 1.0,
@@ -185,12 +180,13 @@ def term_array(spec: SeriesSpec, ms: np.ndarray) -> np.ndarray:
 
     Powers are numpy's ``x ** -p`` (:func:`magnitude_array`), whose last
     bit may depend on the CPU features numpy dispatches to; it does not
-    depend on the length or layout of ``ms``.
+    depend on the length or layout of ``ms``.  An index that is negative,
+    not an integer or outside int64 is an InputError.
     """
-    ms = np.asarray(ms, dtype=np.int64)
-    if ms.size and int(ms.min()) < 0:
-        raise InputError("indices must be nonnegative")
-    return _terms(spec, ms, {})
+    ms = np.asarray(ms)
+    if ms.size and (ms.dtype.kind != "i" or int(ms.min()) < 0):
+        raise InputError("indices must be nonnegative int64 values")
+    return _terms(spec, ms.astype(np.int64, copy=False), {})
 
 
 def _terms(spec: SeriesSpec, ms: np.ndarray,
@@ -212,24 +208,10 @@ def _terms(spec: SeriesSpec, ms: np.ndarray,
         sizes = powers[spec.exponent] = magnitude_array(ms, spec.exponent)
     if spec.kind == KIND_RADEMACHER:
         return (1.0 - 2.0 * ((ms >> spec.level) & 1)) * sizes
-    if spec.kind == KIND_ALTERNATING:
-        return (1.0 - 2.0 * (ms & 1)) * sizes
     values = spec.scale * sizes
     if spec.sign_level is not None:
         values = values * (1.0 - 2.0 * ((ms >> spec.sign_level) & 1))
     return values
-
-
-def term(spec: SeriesSpec, m: int) -> float:
-    """Value of the series at index ``m`` (indices start at 0), read from
-    :func:`term_array`."""
-    if not isinstance(m, numbers.Integral) or m < 0:
-        raise InputError(f"index must be a nonnegative integer, got {m!r}")
-    try:
-        ms = np.array([m], dtype=np.int64)
-    except OverflowError:
-        raise InputError(f"index {m} is outside int64") from None
-    return float(term_array(spec, ms)[0])
 
 
 @dataclass(frozen=True)
@@ -450,7 +432,7 @@ def _tail_spec(spec: SeriesSpec, m: int) -> float:
     covered because ``magnitude_array`` does not increase with the index
     (the tests check this on the indices they use).
     """
-    if spec.kind in (KIND_RADEMACHER, KIND_ALTERNATING, KIND_ABS_POWER):
+    if spec.kind in (KIND_RADEMACHER, KIND_ABS_POWER):
         # float(m) + 1.0 rounds as an int64 entry would; m may exceed int64
         size = float(magnitude_array(np.array([float(m)]), spec.exponent)[0])
         return abs(spec.scale) * size if spec.kind == KIND_ABS_POWER else size
@@ -503,9 +485,6 @@ def _reduce(spec: SeriesSpec, scale: float,
             absolute: list[tuple[float, SeriesSpec]]) -> None:
     if spec.kind == KIND_RADEMACHER:
         key = (spec.level, spec.exponent)
-        patterns[key] = patterns.get(key, 0.0) + scale
-    elif spec.kind == KIND_ALTERNATING:
-        key = (0, spec.exponent)
         patterns[key] = patterns.get(key, 0.0) + scale
     elif spec.kind == KIND_ABS_POWER:
         absolute.append((scale, spec))
@@ -664,8 +643,9 @@ def classical_sum(spec: SeriesSpec, precision: float,
     summed with its own truncation-error control, and the pieces are
     recombined linearly.
     """
-    if not precision > 0.0:
-        raise InputError(f"precision must be positive, got {precision!r}")
+    if not 0.0 < precision < math.inf:
+        raise InputError(f"precision must be finite and positive, got "
+                         f"{precision!r}")
     reduction = reduce_spec(spec)
     parts = len(reduction.patterns) + len(reduction.absolute)
     if parts == 0:

@@ -405,17 +405,6 @@ class DependencyStructure:
     def dependents(self) -> tuple[int, ...]:
         return tuple(sorted(self.coefficients))
 
-    def relation_spec(self, fam: FamilyVector, j: int) -> SeriesSpec:
-        """The absolutely convergent combination witnessing dependent j."""
-        if j not in self.coefficients:
-            raise InputError(f"series {j} is not a dependent")
-        return _witness(fam, self.coefficients[j], j)
-
-
-def _witness(fam: FamilyVector, relation: Sequence[tuple[int, float]],
-             j: int) -> SeriesSpec:
-    return composite([(w, fam[k]) for k, w in relation] + [(1.0, fam[j])])
-
 
 def dependency_decompose(fam: FamilyVector,
                          precision: float = 1e-9) -> DependencyStructure:
@@ -428,13 +417,15 @@ def dependency_decompose(fam: FamilyVector,
     relations of the leading d series do not depend on the series after
     them.
     """
-    if not precision > 0.0:
-        raise InputError(f"precision must be positive, got {precision!r}")
+    if not 0.0 < precision < math.inf:
+        raise InputError(f"precision must be finite and positive, got "
+                         f"{precision!r}")
     independents, relations = _eliminate(fam, len(fam))
     coefficients = {j: tuple(sorted((k, float(v)) for k, v in combo.items()
                                     if k != j))
                     for j, combo in relations.items()}
-    abs_sums = {j: classical_sum(_witness(fam, relation, j), precision)
+    abs_sums = {j: classical_sum(composite([(w, fam[k]) for k, w in relation]
+                                           + [(1.0, fam[j])]), precision)
                 for j, relation in coefficients.items()}
     return DependencyStructure(tuple(independents), coefficients, abs_sums)
 

@@ -438,6 +438,20 @@ def test_analyze_reports_structure(tmp_path, capsys):
     assert "dependent 2:" in text
 
 
+@pytest.mark.parametrize("precision", ["inf", "nan", "0", "-1e-6"])
+def test_analyze_refuses_a_precision_that_is_not_finite_and_positive(
+        precision, tmp_path, capsys):
+    # an infinite precision used to print sums of 0.0 and exit 0
+    spec = write_family_file(tmp_path / "rad4.json", [[
+        {"kind": "rademacher_harmonic", "level": level}
+        for level in range(4)]])
+    assert main(["analyze", "--spec", spec, f"--precision={precision}"]) == 2
+    captured = capsys.readouterr()
+    assert "precision must be finite and positive" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_analyze_measures_each_direction_once(tmp_path, capsys,
                                               monkeypatch):
     # the kernel cross-check already measures every unit direction, and

@@ -8,9 +8,10 @@ import pytest
 
 from sumchase import (BudgetExhaustedError, Condition, InputError,
                       PreconditionError, PrefixPlan, StructureError,
-                      certified_le, certified_lt, composite, extend,
-                      extend_detail, family, initial_condition, is_condition,
-                      leq, plan_from_injection, rademacher_harmonic, run)
+                      UsedIndices, certified_le, certified_lt, composite,
+                      extend, extend_detail, family, initial_condition,
+                      is_condition, leq, plan_from_injection,
+                      rademacher_harmonic, run)
 from sumchase import conditions
 from sumchase.certcheck import verify_data
 from sumchase.conditions import TAIL_CUTOFF_SPAN
@@ -148,7 +149,7 @@ def test_link_norms_equal_the_block_plan_bit_for_bit(small_chain):
     upper, lower = chain.conditions
     link = leq(lower, upper, fam)
     block = lower.injection[len(upper.injection):]
-    plan = plan_from_injection(fam, block, (0.0,) * len(fam), upper.dim)
+    plan = plan_from_injection(fam, block, (0.0,) * upper.dim)
     assert link.bullet("block-prefixes").value == plan.max_excursion
     assert link.bullet("tolerance-step").value == plan.deviation
 
@@ -191,8 +192,7 @@ def test_a_failed_ordering_halves_delta_and_retries(monkeypatch):
     base = initial_condition(PAIR, TARGETS)
     plain = extend_detail(base, 2, PAIR, TARGETS, budget=10 ** 6)
     real_prefix = conditions._largest_running_norm
-    real_check = conditions.is_condition
-    real_state_check = conditions._extension_check
+    real_report = conditions._condition_report
     real_attempt = conditions._attempt_extension
     measured, checked, states = [], [], []
 
@@ -203,13 +203,9 @@ def test_a_failed_ordering_halves_delta_and_retries(monkeypatch):
             prefix_max = float(2 * base.eps)
         return prefix_max
 
-    def counted_check(cond, *args, **kwargs):
+    def counted_report(cond, *args):
         checked.append(cond.eps)
-        return real_check(cond, *args, **kwargs)
-
-    def counted_state_check(state, candidate, *args):
-        checked.append(candidate.eps)
-        return real_state_check(state, candidate, *args)
+        return real_report(cond, *args)
 
     def seen_state(state, *args):
         mask = state.used.contains(np.arange(1 << 16))
@@ -219,8 +215,7 @@ def test_a_failed_ordering_halves_delta_and_retries(monkeypatch):
 
     monkeypatch.setattr(conditions, "_largest_running_norm",
                         over_the_limit_once)
-    monkeypatch.setattr(conditions, "is_condition", counted_check)
-    monkeypatch.setattr(conditions, "_extension_check", counted_state_check)
+    monkeypatch.setattr(conditions, "_condition_report", counted_report)
     monkeypatch.setattr(conditions, "_attempt_extension", seen_state)
     detail = extend_detail(base, 2, PAIR, TARGETS, budget=10 ** 6)
     assert len(measured) == 2
@@ -346,6 +341,32 @@ def test_chain_on_a_scaled_lane_family_verifies(tmp_path):
 def _rademacher_chain(exponent):
     fam = family(*(rademacher_harmonic(i, exponent) for i in range(4)))
     return fam, (0.1, -0.2, 0.3, 0.0), 3
+
+
+def test_the_start_state_built_from_scratch_is_the_chain_state():
+    """At every condition of a 3-round chain, the final one included, the
+    state checked from scratch holds run's report, the injection as its
+    mask, and exact sums equal to summing each series over the whole
+    injection, before and after carry extends them to every series."""
+    fam, targets, rounds = _rademacher_chain(0.75)
+    chain, _ = run(fam, targets, rounds)
+    targets_t = conditions._as_target(targets)
+    for cond, report in zip(chain.conditions, chain.condition_reports):
+        state = conditions._start_state(cond, fam, targets_t,
+                                        conditions.DEFAULT_SCHEDULE,
+                                        AssertionError, "condition")
+        assert state.report == report
+        probe = np.arange(int(cond.injection.max(initial=0)) + 2)
+        assert np.array_equal(state.used.contains(probe),
+                              np.isin(probe, cond.injection))
+        fresh = conditions._ChainState(cond, report, UsedIndices(), [])
+        fresh.carry(fam, len(fam))
+        assert len(state.sums) == cond.dim
+        assert ([acc.units for acc in state.sums]
+                == [acc.units for acc in fresh.sums[:cond.dim]])
+        state.carry(fam, len(fam))
+        assert ([acc.units for acc in state.sums]
+                == [acc.units for acc in fresh.sums])
 
 
 def _benchmark_chain():

@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "power_alternating", "predicted_dependent_limit", "prefix_norms",
     "published_constant", "r_space", "rademacher_harmonic",
     "riemann_rearrange", "run", "select_block_indices", "sum_range",
-    "tail_sup_bound", "term", "trace_rows", "verify_certificate",
+    "tail_sup_bound", "trace_rows", "verify_certificate",
     "verify_prefix", "write_certificate", "write_trace",
 ]
 

@@ -11,8 +11,7 @@ from sumchase import (BudgetExhaustedError, InputError, PreconditionError,
                       PrefixPlan, abs_power, chase_target, composite,
                       cover_indices, family, partial_sum_vector,
                       plan_from_injection, power_alternating,
-                      rademacher_harmonic, riemann_rearrange, term,
-                      verify_prefix)
+                      rademacher_harmonic, riemann_rearrange, verify_prefix)
 from sumchase import rearrange
 from sumchase.errors import StructureError
 from sumchase.rearrange import (lane_modulus, order_block_lanes,
@@ -80,11 +79,12 @@ def test_greedy_crossing_error_is_bounded_by_unused_terms():
     side = None
     crossed = False
     min_unused = 0
-    for idx in plan.injection:
+    for idx, value in zip(plan.injection.tolist(),
+                          term_array(ALT, plan.injection).tolist()):
         used.add(idx)
         while min_unused in used:
             min_unused += 1
-        running += term(ALT, idx)
+        running += value
         new_side = running >= target
         if side is not None and new_side != side and crossed:
             # after the first crossing, each later crossing lands within
@@ -108,7 +108,6 @@ def test_chase_extends_its_base_plan():
     fam = family(rademacher_harmonic(0), rademacher_harmonic(1))
     base = chase_target(fam, None, (0.1, 0.1), 0.05, seed=1)
     longer = chase_target(fam, base, (-0.4, 0.25), 0.02, seed=1)
-    assert longer.extends(base)
     assert np.array_equal(longer.injection[:len(base.injection)],
                           base.injection)
 
@@ -165,7 +164,8 @@ def test_cover_adds_exactly_the_missing_indices():
     fam = family(rademacher_harmonic(0), rademacher_harmonic(1))
     base = chase_target(fam, None, (0.2, -0.3), 0.01, seed=5)
     covered = cover_indices(fam, base, 64, (0.2, -0.3))
-    assert covered.extends(base)
+    assert np.array_equal(covered.injection[:len(base.injection)],
+                          base.injection)
     assert set(range(64)) <= covered.used_set
     assert len(covered.injection) == len(set(covered.injection))
     already = cover_indices(fam, covered, 64, (0.2, -0.3))
@@ -227,6 +227,25 @@ def test_verify_prefix_recomputes_the_deviation():
     assert abs(report.deviation - plan.deviation) < 1e-12
 
 
+@pytest.mark.parametrize("target, dim", [
+    ((0.2, -0.3), 3), ((0.2, -0.3), 0), ((0.2, -0.3), -1), (0.2, 3)],
+    ids=["past-the-targets", "zero", "negative", "scalar-target"])
+def test_verify_prefix_refuses_a_dimension_outside_its_targets(target, dim):
+    fam = family(rademacher_harmonic(0), rademacher_harmonic(1),
+                 rademacher_harmonic(2))
+    plan = plan_from_injection(fam, [0, 1, 2], target)
+    with pytest.raises(InputError, match=f"dimension {dim} outside 1"):
+        verify_prefix(fam, plan, target, dim)
+
+
+def test_verify_prefix_measures_the_leading_dimensions():
+    fam = family(rademacher_harmonic(0), rademacher_harmonic(1))
+    plan = plan_from_injection(fam, [0, 1, 2], 0.2)
+    report = verify_prefix(fam, plan, (0.2, -0.3), 1)
+    assert report.ok
+    assert report.deviation == plan.deviation
+
+
 def test_verify_prefix_flags_duplicates_instead_of_raising():
     fam = family(rademacher_harmonic(0))
     broken = PrefixPlan((0, 0, 1), 0.0, 0.0)
@@ -260,7 +279,7 @@ def test_prefix_plan_injection_is_a_read_only_int64_array():
     assert copied.used_set == frozenset({1, 3})
     assert all(type(m) is int for m in copied.used_set)
     longer = plan_from_injection(fam, [3, 1, 0], (0.1, 0.2))
-    assert longer.extends(plan) and not plan.extends(longer)
+    assert np.array_equal(longer.injection[:2], plan.injection)
     assert plan != longer
     assert plan != PrefixPlan(plan.injection, plan.deviation, 0.5)
     assert len({plan, copied, plan_from_injection(fam, [1, 3],
@@ -492,11 +511,20 @@ def test_used_indices_grow_by_doubling_and_read_past_their_end():
         used.add([-1])
 
 
-def test_missing_below_reads_only_the_entries_below_its_bound():
-    held = np.array([3, 5, 10 ** 12, -1], dtype=np.int64)
-    assert rearrange.missing_below(held, 8).tolist() == [0, 1, 2, 4, 6, 7]
-    assert rearrange.missing_below(held, 0).size == 0
-    assert rearrange.missing_below(held[:0], 3).tolist() == [0, 1, 2]
+def test_cover_reads_only_the_plan_entries_below_its_bound():
+    """A plan holding an index far past ``n`` is covered with a mask of
+    ``n`` entries: the far index is neither missing nor a mask size."""
+    fam = family(rademacher_harmonic(0))
+    held = (3, 5, 10 ** 12)
+    plan = plan_from_injection(fam, held, 0.0)
+    covered = cover_indices(fam, plan, 8, 0.0)
+    assert tuple(covered.injection[:3]) == held
+    assert sorted(covered.injection[3:].tolist()) == [0, 1, 2, 4, 6, 7]
+    assert cover_indices(fam, plan, 0, 0.0) is plan
+    assert cover_indices(fam, plan, 3, 0.0).injection[3:].tolist() == [
+        0, 1, 2]
+    empty = plan_from_injection(fam, (), 0.0)
+    assert cover_indices(fam, empty, 3, 0.0).injection.tolist() == [0, 1, 2]
 
 
 def test_lane_masses_use_the_lane_period_on_gapped_levels():
@@ -507,7 +535,9 @@ def test_lane_masses_use_the_lane_period_on_gapped_levels():
     struct = rearrange._lane_structure(fam, 3)
     period = struct.modulus // len(struct.lane_residues[0])
     assert (struct.modulus, period) == (1 << 13, 8)
-    masses = rearrange._lane_masses(struct, np.array([0.5, 0.0, 0.0]), {})
+    # every lane's frontier at 1: nothing used yet
+    masses = rearrange._lane_masses(struct, np.array([0.5, 0.0, 0.0]), {},
+                                    dict.fromkeys(struct.sign_vectors, 1.0))
     pairs = rearrange._axis_pairs(struct.sign_vectors, 0, 1)
     assert len(pairs) == 2
     loads = [masses.get(sig, 0.0) for sig, _ in pairs]
@@ -515,8 +545,9 @@ def test_lane_masses_use_the_lane_period_on_gapped_levels():
     assert abs(loads[0] - loads[1]) <= 0.5 / 2 / rearrange._FILL_CHUNKS
     pair = family(rademacher_harmonic(0), rademacher_harmonic(12))
     pair_struct = rearrange._lane_structure(pair, 2)
-    pair_masses = rearrange._lane_masses(pair_struct, np.array([0.1, 0.2]),
-                                         {})
+    pair_masses = rearrange._lane_masses(
+        pair_struct, np.array([0.1, 0.2]), {},
+        dict.fromkeys(pair_struct.sign_vectors, 1.0))
     for mass in list(masses.values()) + list(pair_masses.values()):
         assert math.isfinite(rearrange._projected_depth(1.0, mass, 8, 1.0))
     for mass in pair_masses.values():

@@ -11,7 +11,7 @@ from sumchase import (BudgetExhaustedError, InputError, abs_power,
                       classical_sum, composite, family,
                       is_conditionally_convergent, partial_sum_vector,
                       power_alternating, rademacher_harmonic,
-                      tail_sup_bound, term)
+                      tail_sup_bound)
 from sumchase.series import (magnitude_array, reduce_spec, term_array,
                              vector_terms)
 
@@ -21,39 +21,68 @@ ZETA2 = 1.6449340668482264
 RAD1_SUM = 1.1319717536774209
 
 
+def _python_term(spec, m):
+    """The term at ``m`` in Python floats, apart from numpy: libm's
+    ``pow`` for the magnitude, then the sign and the combination in the
+    order the series definitions give them."""
+    if spec.kind == "composite":
+        total = 0.0
+        for coeff, ref in spec.combo:
+            total += coeff * _python_term(ref, m)
+        if spec.perturbation is not None:
+            total += _python_term(spec.perturbation, m)
+        return total
+    size = (m + 1.0) ** -spec.exponent
+    if spec.kind == "rademacher_harmonic":
+        return -size if (m >> spec.level) & 1 else size
+    value = spec.scale * size
+    if spec.sign_level is not None and (m >> spec.sign_level) & 1:
+        value = -value
+    return value
+
+
+def _within_one_ulp(spec, ms):
+    values = term_array(spec, ms)
+    for m, value in zip(ms.tolist(), values.tolist()):
+        scalar = _python_term(spec, m)
+        assert abs(value - scalar) <= math.ulp(scalar), (spec, m)
+
+
 def test_alternating_terms_match_hand_values():
     spec = power_alternating(1.0)
-    assert term(spec, 0) == 1.0
-    assert term(spec, 1) == -0.5
-    assert term(spec, 2) == pytest.approx(1.0 / 3.0, abs=0.0)
-    assert term(spec, 5) == pytest.approx(-1.0 / 6.0, abs=0.0)
+    assert term_array(spec, [0, 1, 2, 5]).tolist() == [
+        1.0, -0.5, 1.0 / 3.0, -1.0 / 6.0]
 
 
 def test_level_one_signs_flip_every_two_indices():
-    spec = rademacher_harmonic(1)
-    signs = [math.copysign(1.0, term(spec, m)) for m in range(8)]
-    assert signs == [1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0]
+    signs = np.sign(term_array(rademacher_harmonic(1), np.arange(8)))
+    assert signs.tolist() == [1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0]
 
 
 def test_level_zero_equals_plain_alternating_pointwise():
-    rad = rademacher_harmonic(0)
-    alt = power_alternating(1.0)
-    for m in range(50):
-        assert term(rad, m) == term(alt, m)
+    ms = np.arange(50)
+    assert np.array_equal(term_array(rademacher_harmonic(0), ms),
+                          term_array(power_alternating(1.0), ms))
+
+
+@pytest.mark.parametrize("exponent", [1.0, 0.75, 0.5])
+def test_power_alternating_is_the_level_zero_pattern(exponent):
+    alt = power_alternating(exponent)
+    assert alt == rademacher_harmonic(0, exponent)
+    assert hash(alt) == hash(rademacher_harmonic(0, exponent))
 
 
 def test_abs_power_scale_and_sign_pattern():
     spec = abs_power(2.0, scale=-3.0, sign_level=1)
-    assert term(spec, 0) == -3.0
-    assert term(spec, 2) == pytest.approx(3.0 / 9.0, abs=0.0)
+    assert term_array(spec, [0, 2]).tolist() == [-3.0, 3.0 / 9.0]
 
 
 def test_composite_terms_are_the_declared_combination():
     a0 = rademacher_harmonic(0)
     mix = composite([(2.0, a0)], perturbation=abs_power(2.0, scale=0.5))
-    for m in range(10):
-        expected = 2.0 * term(a0, m) + 0.5 / (m + 1.0) ** 2
-        assert term(mix, m) == pytest.approx(expected, rel=1e-15)
+    ms = np.arange(10)
+    expected = 2.0 * term_array(a0, ms) + 0.5 / (ms + 1.0) ** 2
+    assert term_array(mix, ms) == pytest.approx(expected, rel=1e-15)
 
 
 @pytest.mark.parametrize("bad", [
@@ -85,80 +114,48 @@ def test_conditional_exponents_stop_at_one():
 
 def test_negative_index_rejected():
     with pytest.raises(InputError):
-        term(power_alternating(), -1)
+        term_array(power_alternating(), [-1])
 
 
 @pytest.mark.parametrize("m", [2 ** 63, 1.5])
 def test_index_must_be_an_int64(m):
     with pytest.raises(InputError):
-        term(power_alternating(), m)
+        term_array(power_alternating(), [m])
 
 
-def test_term_array_matches_scalar_term_exactly_for_integer_exponents():
-    specs = [rademacher_harmonic(2),
-             power_alternating(1.0),
-             abs_power(3.0, scale=2.0, sign_level=0),
-             composite([(1.0, rademacher_harmonic(0)),
-                        (-0.5, rademacher_harmonic(1))],
-                       perturbation=abs_power(3.0))]
-    ms = np.arange(40)
-    for spec in specs:
-        arr = term_array(spec, ms)
-        for m in range(40):
-            assert arr[m] == term(spec, m)
+_INTEGER_EXPONENT_SPECS = [
+    rademacher_harmonic(0), rademacher_harmonic(2), power_alternating(1.0),
+    abs_power(3.0, scale=2.0, sign_level=0),
+    composite([(1.0, rademacher_harmonic(0)),
+               (-0.5, rademacher_harmonic(1))], perturbation=abs_power(3.0))]
+_FRACTIONAL_EXPONENT_SPECS = [
+    power_alternating(0.5), rademacher_harmonic(1, 0.75),
+    abs_power(1.5, scale=2.0, sign_level=0)]
+
+
+def test_term_array_within_one_ulp_for_integer_exponents():
+    # libm ``pow`` and numpy's reciprocal round 1/1923 (m = 1922) and
+    # 1/3846 (m = 3845) differently; elsewhere below 4096 they agree
+    for spec in _INTEGER_EXPONENT_SPECS:
+        _within_one_ulp(spec, np.arange(4096))
 
 
 def test_term_array_within_one_ulp_for_fractional_exponents():
-    specs = [power_alternating(0.5), abs_power(1.5, scale=2.0, sign_level=0)]
-    ms = np.arange(40)
-    for spec in specs:
-        arr = term_array(spec, ms)
-        for m in range(40):
-            scalar = term(spec, m)
-            assert abs(arr[m] - scalar) <= math.ulp(scalar)
+    for spec in _FRACTIONAL_EXPONENT_SPECS:
+        _within_one_ulp(spec, np.arange(4096))
 
 
 def test_term_array_within_one_ulp_of_scalar_term_at_large_index():
     # m = 1922 is where libm ``pow`` and numpy's reciprocal round the
     # alternating harmonic term differently
-    specs = [rademacher_harmonic(0),
-             rademacher_harmonic(2),
-             power_alternating(1.0),
-             abs_power(3.0, scale=2.0, sign_level=0),
-             composite([(1.0, rademacher_harmonic(0)),
-                        (-0.5, rademacher_harmonic(1))],
-                       perturbation=abs_power(3.0)),
-             power_alternating(0.5),
-             abs_power(1.5, scale=2.0, sign_level=0)]
-    ms = np.array([1922])
-    for spec in specs:
-        arr = term_array(spec, ms)
-        scalar = term(spec, 1922)
-        assert abs(arr[0] - scalar) <= math.ulp(scalar)
-
-
-def test_term_is_term_array_bit_for_bit():
-    # term reads term_array, so the two agree everywhere, m = 1922 included,
-    # where libm ``pow`` and numpy's reciprocal round 1/1923 differently
-    specs = [rademacher_harmonic(0),
-             rademacher_harmonic(2),
-             power_alternating(1.0),
-             abs_power(3.0, scale=2.0, sign_level=0),
-             composite([(1.0, rademacher_harmonic(0)),
-                        (-0.5, rademacher_harmonic(1))],
-                       perturbation=abs_power(3.0)),
-             power_alternating(0.5),
-             abs_power(1.5, scale=2.0, sign_level=0)]
-    ms = np.arange(4096)
-    for spec in specs:
-        scalar = np.array([term(spec, m) for m in range(len(ms))])
-        assert scalar.tobytes() == term_array(spec, ms).tobytes(), spec
+    for spec in _INTEGER_EXPONENT_SPECS + _FRACTIONAL_EXPONENT_SPECS:
+        _within_one_ulp(spec, np.array([1922]))
 
 
 def test_partial_sum_matches_fsum():
     spec = power_alternating(1.0)
     idx = list(range(4))
-    expected = math.fsum(term(spec, m) for m in idx)
+    expected = math.fsum(term_array(spec, idx))
     assert partial_sum_vector(family(spec), idx)[0] == expected
 
 
@@ -175,8 +172,8 @@ def test_partial_sum_vector_stacks_coordinates():
     idx = [0, 1, 2]
     vec = partial_sum_vector(fam, idx)
     assert vec.shape == (2,)
-    assert vec[0] == math.fsum(term(fam[0], m) for m in idx)
-    assert vec[1] == math.fsum(term(fam[1], m) for m in idx)
+    assert vec[0] == math.fsum(term_array(fam[0], idx))
+    assert vec[1] == math.fsum(term_array(fam[1], idx))
     assert partial_sum_vector(fam, idx, 1).tolist() == [vec[0]]
 
 
@@ -216,6 +213,12 @@ def test_classical_sum_signed_abs_power():
     assert value == pytest.approx(math.pi ** 2 / 12.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("precision", [math.inf, math.nan, 0.0, -1.0])
+def test_classical_sum_needs_a_finite_positive_precision(precision):
+    with pytest.raises(InputError, match="finite and positive"):
+        classical_sum(power_alternating(1.0), precision)
+
+
 def test_classical_sum_respects_the_term_budget():
     with pytest.raises(BudgetExhaustedError):
         classical_sum(power_alternating(1.0), 1e-9, term_budget=50)
@@ -246,8 +249,8 @@ def test_conditional_convergence_classification():
 def test_tail_bound_decreases_and_covers_single_terms():
     spec = rademacher_harmonic(2, 1.0)
     assert tail_sup_bound(spec, 10) <= tail_sup_bound(spec, 5)
-    for m in (10, 11, 200):
-        assert abs(term(spec, m)) <= tail_sup_bound(spec, 10)
+    assert (np.abs(term_array(spec, [10, 11, 200]))
+            <= tail_sup_bound(spec, 10)).all()
 
 
 def test_family_tail_bound_covers_the_vector_norm():
@@ -296,8 +299,9 @@ def test_tail_bound_covers_the_term_where_libm_and_numpy_differ():
     """libm's ``1923.0 ** -1.0`` is one rounding step below numpy's, which
     every term comes from."""
     spec = power_alternating(1.0)
-    assert tail_sup_bound(spec, 1922) == abs(term(spec, 1922))
-    assert tail_sup_bound(family(spec), 1922) == abs(term(spec, 1922))
+    size = abs(term_array(spec, [1922])[0])
+    assert tail_sup_bound(spec, 1922) == size
+    assert tail_sup_bound(family(spec), 1922) == size
 
 
 _TAIL_SPECS = [
@@ -346,7 +350,7 @@ def test_magnitudes_do_not_increase_with_the_index(exponent):
 def test_tail_bound_is_sound_for_every_later_index(start, offset):
     spec = power_alternating(1.0)
     bound = tail_sup_bound(spec, start)
-    assert abs(term(spec, start + offset)) <= bound
+    assert abs(term_array(spec, [start + offset])[0]) <= bound
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,7 +11,7 @@ from sumchase import (CoefficientVector, InputError, abs_power, composite,
                       dependency_decompose, family, growth_statistics,
                       k_space_basis, membership_check, power_alternating,
                       predicted_dependent_limit, r_space, rademacher_harmonic,
-                      sum_range, term)
+                      sum_range)
 from sumchase import subspace
 from sumchase.series import reduce_spec, term_array
 
@@ -103,24 +103,32 @@ def test_free_family_decomposes_to_itself():
     assert struct.dependents() == ()
 
 
-def test_relation_spec_rebuilds_the_absolute_witness():
+def test_a_dependent_relation_rebuilds_the_absolute_witness():
+    """``sum_k w_k * a^k + a^j`` over the relation of dependent j is the
+    absolutely convergent perturbation that a^j carries, term by term."""
     fam = triple()
     struct = dependency_decompose(fam)
-    witness = struct.relation_spec(fam, 2)
-    for m in range(64):
-        assert term(witness, m) == pytest.approx(1.0 / (m + 1.0) ** 2,
-                                                 rel=1e-12)
-    with pytest.raises(InputError):
-        struct.relation_spec(fam, 0)
+    assert struct.dependents() == (2,)
+    witness = composite([(w, fam[k]) for k, w in struct.coefficients[2]]
+                        + [(1.0, fam[2])])
+    ms = np.arange(64)
+    assert term_array(witness, ms) == pytest.approx(1.0 / (ms + 1.0) ** 2,
+                                                    rel=1e-12)
 
 
-@pytest.mark.parametrize("precision", [-1.0, 0.0, math.nan])
+@pytest.mark.parametrize("precision", [-1.0, 0.0, math.nan, math.inf])
 def test_decomposition_rejects_a_nonpositive_precision(precision):
     # a family without dependents sums nothing, so only an up-front check
     # catches the bad value
     with pytest.raises(InputError):
         dependency_decompose(family(rademacher_harmonic(0)),
                              precision=precision)
+
+
+def test_sum_range_refuses_an_infinite_precision():
+    # an infinite share per part would let every sum stop at once, at 0.0
+    with pytest.raises(InputError, match="finite and positive"):
+        sum_range(triple(), precision=math.inf)
 
 
 def test_predicted_limit_shifts_with_the_achieved_sums():
