@@ -140,6 +140,30 @@ def test_term_array_within_one_ulp_for_integer_exponents():
         _within_one_ulp(spec, np.arange(4096))
 
 
+def _scalar_terms(spec, ms):
+    """The term at each index of ``ms``, evaluated one index at a time."""
+    return np.array([term_array(spec, np.array([m]))[0] for m in ms])
+
+
+def test_term_array_matches_scalar_term_exactly_for_integer_exponents():
+    # a term does not depend on the other indices it is evaluated with
+    ms = np.concatenate([np.arange(40), [1922, 3845]])
+    for spec in _INTEGER_EXPONENT_SPECS:
+        arr = term_array(spec, ms)
+        scalar = _scalar_terms(spec, ms.tolist())
+        for value, single in zip(arr.tolist(), scalar.tolist()):
+            assert value == single, spec
+
+
+def test_term_is_term_array_bit_for_bit():
+    # one index at a time or 4096 at once, m = 1922 included, where libm
+    # ``pow`` and numpy's reciprocal round 1/1923 differently
+    ms = np.arange(4096)
+    for spec in _INTEGER_EXPONENT_SPECS + _FRACTIONAL_EXPONENT_SPECS:
+        scalar = _scalar_terms(spec, ms.tolist())
+        assert scalar.tobytes() == term_array(spec, ms).tobytes(), spec
+
+
 def test_term_array_within_one_ulp_for_fractional_exponents():
     for spec in _FRACTIONAL_EXPONENT_SPECS:
         _within_one_ulp(spec, np.arange(4096))
